@@ -12,27 +12,30 @@ This package brings the same levers to our pipeline, at three layers:
   recorded per-source result streams keyed on (source, native query,
   restriction, data version), replayed with *identical* virtual-time
   charges so benchmarks stay bit-identical under a fixed seed;
-* **memoized compilation** — pure-function caches for LIKE-regex and
-  predicate compilation (:mod:`repro.relational.executor`) and star→SQL
-  translation (:mod:`repro.mapping.translator`).
+* **process-wide memos** (:mod:`repro.cache.memos`) — pure data work shared
+  by every engine of the process: star→SQL translations, compiled filters,
+  decoded terms, fetched source blocks, recorded join streams.  Inspect
+  them with :func:`memo_stats`, drop them with :func:`clear_memos`.
 
 Everything here is dependency-free (no imports from the rest of ``repro``)
-so any layer may use it without cycles.  All caches are LRU-bounded and
-expose hit/miss/eviction counters.
+so any layer may use it without cycles.  Every cache is an
+:class:`LRUCache`: bounded, locked, with hit/miss/eviction counters.
 """
 
 from .keys import canonicalize_query, sparql_result_key, sql_result_key
 from .lru import CacheStats, LRUCache
-from .recording import RecordedSparqlResult, RecordedSqlResult
+from .memos import clear_memos, memo_stats
+from .recording import SourceBlock
 from .registry import CacheRegistry
 
 __all__ = [
     "CacheRegistry",
     "CacheStats",
     "LRUCache",
-    "RecordedSparqlResult",
-    "RecordedSqlResult",
+    "SourceBlock",
     "canonicalize_query",
+    "clear_memos",
+    "memo_stats",
     "sparql_result_key",
     "sql_result_key",
 ]

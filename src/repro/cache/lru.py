@@ -99,16 +99,20 @@ class LRUCache:
             self.hits += 1
             return value
 
-    def put(self, key: Hashable, value: Any) -> None:
+    def put(self, key: Hashable, value: Any) -> int:
+        """Store *value* as most recent; the number of entries evicted."""
         with self._lock:
             if not self.enabled:
-                return
+                return 0
             if key in self._entries:
                 self._entries.move_to_end(key)
             self._entries[key] = value
+            evicted = 0
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.evictions += 1
+                evicted += 1
+            self.evictions += evicted
+            return evicted
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop one entry; True when it existed."""

@@ -1,4 +1,4 @@
-"""Recorded wrapper result streams and their virtual-time-neutral replay.
+"""The source-stream artifact: one wrapper sub-result, replayable bit for bit.
 
 The semantics guard of the sub-result cache: **cache saves wall-clock, not
 virtual time**.  A warm replay must charge the run context exactly what the
@@ -6,65 +6,45 @@ cold run charged, in the same order, consuming the same RNG draws — so the
 virtual timeline (and therefore every benchmark number under a fixed seed)
 is bit-identical whether a stream came from the source or from the cache.
 
-Charge sequences mirrored here (see ``federation/wrappers.py``):
-
-* relational rows: ``charge_source(delta)`` then ``charge_message`` per SQL
-  row (rows whose solution reconstruction yields NULL still cross the
-  network), plus one residual ``charge_source`` after the last row;
-* RDF matches: ``charge_source(lookup)`` per BGP match, plus
-  ``charge_source(output)`` + ``charge_message`` for matches that survive
-  restriction/filtering.
-
-``charge_request`` (one RNG draw) is issued by the wrapper before replay,
-just as before a cold execution.  Replays are generators: charges happen
-lazily as downstream operators pull, preserving the interleaving of RNG
-draws across concurrently-pulled plan branches.
+A wrapper execution is therefore two steps.  **Fetch** is pure data work
+(no clock, no RNG) and produces one :class:`SourceBlock`; **charge** is the
+single generator in ``federation/wrappers.py`` that walks a block and
+issues its charges lazily as downstream operators pull.  Cold batch runs,
+warm replays on either data plane and both source kinds go through the
+same block and the same loop, so the SQL block memo and the sub-result
+cache hold the *same object*.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator
-
-#: A recorded relational row event: (source-cost delta, solution-or-None).
-SqlRowEvent = tuple[float, dict | None]
+from dataclasses import dataclass
+from typing import Any
 
 
-@dataclass
-class RecordedSqlResult:
-    """The replayable trace of one relational wrapper execution."""
+@dataclass(slots=True)
+class SourceBlock:
+    """The fetched result of one wrapper execution, chunked for one batch size.
 
-    rows: list[SqlRowEvent] = field(default_factory=list)
-    residual_cost: float = 0.0
+    ``pre_costs`` and ``handles`` are parallel, one entry per source event
+    in source order: the source-side cost charged before the event, and the
+    ``(SolutionBatch, row)`` handle of a kept answer or ``None`` for an
+    event dropped at the source.  Handles point into shared, immutable
+    column chunks of at most ``batch_size`` rows (``fills`` lists the chunk
+    sizes for the batch-fill histogram).  Per event the charge loop issues
 
-    def replay(self, source_id: str, context: Any) -> Iterator[dict]:
-        for delta, solution in self.rows:
-            context.charge_source(source_id, delta)
-            context.charge_message(source_id)
-            if solution is not None:
-                yield dict(solution)
-        context.charge_source(source_id, self.residual_cost)
+    * relational rows: ``source(pre_cost)`` then one message — rows whose
+      solution reconstruction yields NULL are dropped but still cross the
+      network (``drops_cross_network``) — plus one ``residual`` at the end;
+    * RDF matches: ``source(pre_cost)`` (the lookups), and for matches that
+      survive restriction/filtering ``source(output_cost)`` + one message.
 
-
-@dataclass
-class RecordedSparqlResult:
-    """The replayable trace of one RDF wrapper execution.
-
-    ``matches`` holds one entry per BGP match: the emitted solution, or
-    None for matches dropped at the source by the VALUES restriction or a
-    pushed filter (those still cost their lookups, but never cross the
-    network).
+    Blocks are shared read-only between runs, engines and threads.
     """
 
-    matches: list[dict | None] = field(default_factory=list)
-    lookup_cost: float = 0.0
+    pre_costs: list[float]
+    handles: list[tuple[Any, int] | None]
+    fills: list[int]
+    batch_size: int
     output_cost: float = 0.0
-
-    def replay(self, source_id: str, context: Any) -> Iterator[dict]:
-        for solution in self.matches:
-            context.charge_source(source_id, self.lookup_cost)
-            if solution is None:
-                continue
-            context.charge_source(source_id, self.output_cost)
-            context.charge_message(source_id)
-            yield dict(solution)
+    residual: float = 0.0
+    drops_cross_network: bool = False

@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+from weakref import ref
 
 from ..exceptions import PlanningError
 from ..federation.endpoints import RDFSource, RelationalSource
@@ -371,7 +372,7 @@ class FederatedPlanner:
                 w.execute_batch(t.restricted(variable, terms), context)
             ),
             data_version_provider=(
-                lambda s=source: (s.database, s.database.data_version)
+                lambda s=source: (ref(s.database), s.database.data_version)
             ),
         )
         estimate = min(
@@ -434,7 +435,7 @@ class FederatedPlanner:
                                 w.execute_batch(t.restricted(variable, terms), context)
                             ),
                             data_version_provider=(
-                                lambda s=source: (s.database, s.database.data_version)
+                                lambda s=source: (ref(s.database), s.database.data_version)
                             ),
                         ),
                         candidate.cardinality,
@@ -455,8 +456,11 @@ class FederatedPlanner:
                             ),
                             restricted_runner=(
                                 lambda context, variable, terms, w=wrapper, s=star:
-                                w.execute_restricted(
-                                    s, context, variable, terms, pushed_filters=s.filters
+                                w.execute(
+                                    s,
+                                    context,
+                                    pushed_filters=s.filters,
+                                    bindings=(variable, frozenset(terms)),
                                 )
                             ),
                             variables=tuple(sorted(star.variable_names())),
@@ -467,8 +471,11 @@ class FederatedPlanner:
                             ),
                             restricted_batch_runner=(
                                 lambda context, variable, terms, w=wrapper, s=star:
-                                w.execute_restricted_batch(
-                                    s, context, variable, terms, pushed_filters=s.filters
+                                w.execute_batch(
+                                    s,
+                                    context,
+                                    pushed_filters=s.filters,
+                                    bindings=(variable, frozenset(terms)),
                                 )
                             ),
                             # The description renders only the patterns, so
@@ -476,7 +483,7 @@ class FederatedPlanner:
                             # must enter the signature here.
                             data_version_provider=(
                                 lambda s=source, st=star: (
-                                    s.graph,
+                                    ref(s.graph),
                                     s.graph.version,
                                     tuple(f.expression.n3() for f in st.filters),
                                 )

@@ -31,9 +31,8 @@ __all__ = [
     "BatchBuilder",
     "Handle",
     "single_solution_batch",
-    "batches_from_solutions",
+    "chunk_columns",
     "merge_plan",
-    "handle_key",
     "handle_identity",
 ]
 
@@ -208,17 +207,35 @@ def single_solution_batch(solution: Solution) -> Handle:
     return (SolutionBatch(names, [[solution[name]] for name in names]), 0)
 
 
-def batches_from_solutions(
-    solutions: Iterable[Solution], batch_size: int
-) -> Iterator[Handle]:
-    """Adapt a row stream into handles, grouping same-shape runs."""
-    builders: dict[tuple[str, ...], BatchBuilder] = {}
-    for solution in solutions:
-        names = tuple(solution)
-        builder = builders.get(names)
-        if builder is None:
-            builder = builders[names] = BatchBuilder(names, batch_size)
-        yield builder.append([solution[name] for name in names])
+def chunk_columns(
+    names: tuple[str, ...],
+    columns: list[list[Term | None]],
+    kept: "list[int] | range",
+    count: int,
+    batch_size: int,
+) -> tuple[list[Handle | None], list[int]]:
+    """Chunk the *kept* rows of a columnar result into batch handles.
+
+    Returns ``(handles, fills)``: one handle per source row (None for the
+    rows not kept) and the chunk sizes.  An unfiltered result (``kept`` is
+    a range) is chunked by slicing.
+    """
+    handles: list[Handle | None] = [None] * count
+    fills: list[int] = []
+    for start in range(0, len(kept), batch_size):
+        chunk = kept[start : start + batch_size]
+        if isinstance(chunk, range):
+            batch = SolutionBatch(
+                names, [column[chunk.start : chunk.stop] for column in columns]
+            )
+        else:
+            batch = SolutionBatch(
+                names, [[column[i] for i in chunk] for column in columns]
+            )
+        fills.append(len(chunk))
+        for offset, i in enumerate(chunk):
+            handles[i] = (batch, offset)
+    return handles, fills
 
 
 def observe_batches(obs, owner: str, fills: list[int], configured: int) -> None:
@@ -290,29 +307,6 @@ def merge_plan(left_names: tuple[str, ...], right_names: tuple[str, ...]) -> Mer
         plan = MergePlan(left_names, right_names)
         _MERGE_PLANS[key] = plan
     return plan
-
-
-def handle_key(
-    batch: SolutionBatch, idx: int, variables, positions: list[int] | None = None
-) -> tuple | None:
-    """The join key of one row, or None when any join variable is unbound.
-
-    Mirrors the row engine's ``tuple(solution[v] for v in variables)`` with
-    its KeyError-means-skip semantics.
-    """
-    if positions is None:
-        index = batch.index
-        positions = [index.get(variable, -1) for variable in variables]
-    columns = batch.columns
-    key = []
-    for position in positions:
-        if position < 0:
-            return None
-        value = columns[position][idx]
-        if value is None:
-            return None
-        key.append(value)
-    return tuple(key)
 
 
 def handle_identity(

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+from ..cache.memos import join_streams
 from ..rdf.terms import Term
 from ..network.clock import VirtualClock
 from ..sparql.algebra import Filter, OrderCondition
@@ -111,10 +112,11 @@ class ServiceNode(FedOperator):
     #: planner): same wrapper call, but streaming batch handles.
     batch_runner: Callable[[RunContext], Iterator[Handle]] | None = None
     restricted_batch_runner: Callable[..., Iterator[Handle]] | None = None
-    #: Returns ``(store_object, version)`` of the backing store (set by the
-    #: planner).  The store object pins identity (two lakes may both be at
-    #: version 0), the version invalidates on mutation; together with the
-    #: rendered native query they make :meth:`data_signature` sound.
+    #: Returns ``(weakref to the backing store, version)`` (set by the
+    #: planner).  The reference pins identity (two lakes may both be at
+    #: version 0) without keeping a dropped store alive through the
+    #: join-stream memo, the version invalidates on mutation; together with
+    #: the rendered native query they make :meth:`data_signature` sound.
     data_version_provider: Callable[[], object] | None = None
 
     def _filtered(self, context: RunContext, stream: Iterator[Solution]) -> Iterator[Solution]:
@@ -307,17 +309,16 @@ def _positions_cache(variables: tuple[str, ...]):
     return positions_for
 
 
-#: Cross-run memo of single-variable join *streams*.  Delays and cache
-#: state never change which rows arrive or in which order (pull-driven
-#: alternation is data-determined), so for signature-stable inputs the
-#: join's entire data plane — key extraction, hash tables, merge/gather,
-#: output batches — is identical across runs, engines and networks.  The
-#: first complete execution records a script of (pull, flush, yield)
-#: events; replays re-pull the children live (their charges stay exact)
-#: and re-issue the recorded engine flushes bitwise.  Keyed by the child
-#: data signatures plus everything that shapes charges and chunking.
-_JOIN_STREAM_MEMO: dict = {}
-_JOIN_STREAM_MEMO_CAP = 16
+# Single-variable join *streams* are memoized across runs in the
+# ``join_streams`` region of :mod:`repro.cache.memos`.  Delays and cache
+# state never change which rows arrive or in which order (pull-driven
+# alternation is data-determined), so for signature-stable inputs the
+# join's entire data plane — key extraction, hash tables, merge/gather,
+# output batches — is identical across runs, engines and networks.  The
+# first complete execution records a script of (pull, flush, yield)
+# events; replays re-pull the children live (their charges stay exact)
+# and re-issue the recorded engine flushes bitwise.  Keyed by the child
+# data signatures plus everything that shapes charges and chunking.
 
 
 @dataclass
@@ -404,7 +405,7 @@ class SymmetricHashJoin(FedOperator):
                         cost,
                         context.batch_size,
                     )
-                    cached = _JOIN_STREAM_MEMO.get(memo_key)
+                    cached = join_streams.get(memo_key)
                     if cached is not None:
                         return self._replay_single(context, cached)
                     script = []
@@ -529,9 +530,7 @@ class SymmetricHashJoin(FedOperator):
             # Publish only streams that ran to natural completion; an
             # early-closed generator (LIMIT above the join) never gets
             # here, so partial scripts are never cached.
-            if len(_JOIN_STREAM_MEMO) >= _JOIN_STREAM_MEMO_CAP:
-                _JOIN_STREAM_MEMO.clear()
-            _JOIN_STREAM_MEMO[memo_key] = (tuple(script), pending)
+            join_streams.put(memo_key, (tuple(script), pending))
         if pending > 0:
             if virtual:
                 clock._now += pending

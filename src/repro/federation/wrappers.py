@@ -10,27 +10,30 @@ next answer from the source."*  Both wrappers here follow that design:
 * :class:`SPARQLWrapper` evaluates the star over a native RDF source with
   the local BGP matcher, charging triple-lookup costs and per-answer delays.
 
-Both wrappers consult the run's sub-result cache
-(:attr:`RunContext.caches`), FedX-style: a hit replays the recorded stream
-— re-charging request, source and per-answer network time exactly like a
-cold run, so virtual timelines stay bit-identical under a fixed seed — and
-a miss records the stream as it is produced, publishing the entry only once
+A wrapper execution is two steps.  **Fetch** is pure data work and yields
+one :class:`~repro.cache.SourceBlock`; **charge** (:func:`_charge`, the one
+place a streamed answer is delayed) walks a block and issues the request's
+source and network charges lazily, as downstream operators pull.  Both
+wrappers consult the run's sub-result cache (:attr:`RunContext.caches`),
+FedX-style: a hit charges the cached block — request, source and per-answer
+network time exactly like a cold run, so virtual timelines stay
+bit-identical under a fixed seed — and a miss publishes its block only once
 the source exhausted it (a LIMIT-truncated pull caches nothing).  Keys
 embed the source's data version, so any INSERT/DELETE or index change on
 the underlying store invalidates silently.
+
+The row plane's cold paths stay lazy and separate (they are the reference
+the batch plane is checked against); they publish a block built from the
+events they charged.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterator, TYPE_CHECKING
-from weakref import WeakKeyDictionary
 
-from ..cache import (
-    RecordedSparqlResult,
-    RecordedSqlResult,
-    sparql_result_key,
-    sql_result_key,
-)
+from ..cache import SourceBlock, sparql_result_key, sql_result_key
+from ..cache.memos import sql_blocks
 from ..exceptions import WrapperError
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a core <-> federation cycle
@@ -41,22 +44,11 @@ from ..relational.meter import OperationMeter
 from ..relational.vexecutor import execute_priced
 from ..sparql.algebra import Filter
 from ..sparql.bgp import evaluate_bgp, evaluate_bgp_columns
-from ..sparql.expressions import compile_holds, holds
+from ..sparql.expressions import compile_holds
 from ..network.clock import VirtualClock
 from .answers import _DELAY_BLOCK, RunContext, Solution
-from .batch import BatchBuilder, Handle, RowView, SolutionBatch, observe_batches
+from .batch import Handle, RowView, SolutionBatch, chunk_columns, observe_batches
 from .endpoints import RDFSource, RelationalSource
-
-#: Columnar block cache for relational sub-queries, the SQL analog of the
-#: star-match memo in :mod:`repro.sparql.bgp`: the vectorized result of one
-#: statement — decoded columns, per-row price deltas, residual — is fully
-#: determined by (SQL text, data version, cost model), so engines in batch
-#: mode share the blocks instead of re-scanning immutable tables.  Charges
-#: are still issued per row by every run; only the data work is shared.
-#: Keyed weakly by database so dropped sources release their blocks; capped
-#: per database against mutation-heavy runs.
-_SQL_BLOCK_CACHE: "WeakKeyDictionary" = WeakKeyDictionary()
-_SQL_BLOCK_CAP = 64
 
 
 def _obs_track(context: RunContext, source_id: str) -> str:
@@ -120,15 +112,203 @@ def _observed_stream(
         )
 
 
-class SQLWrapper:
-    """Wrapper over one relational source."""
+def _chunk_rows(
+    names: tuple[str, ...], rows: list[tuple | None], batch_size: int
+) -> tuple[list[Handle | None], list[int]]:
+    """Chunk per-event value tuples (None = dropped at the source).
 
-    def __init__(self, source: RelationalSource):
+    Every kept row binds exactly *names*, in order — true of one SQL
+    statement's decoded rows and of one BGP's solutions alike.
+    """
+    blank = (None,) * len(names)
+    columns = [
+        list(column) for column in zip(*(row or blank for row in rows), strict=True)
+    ]
+    kept = [i for i, row in enumerate(rows) if row is not None]
+    return chunk_columns(names, columns, kept, len(rows), batch_size)
+
+
+def _rechunked(block: SourceBlock, batch_size: int) -> SourceBlock:
+    """*block* with its kept answers chunked for another batch size."""
+    names = next((h[0].names for h in block.handles if h is not None), ())
+    rows = [
+        None if handle is None else tuple(c[handle[1]] for c in handle[0].columns)
+        for handle in block.handles
+    ]
+    handles, fills = _chunk_rows(names, rows, batch_size)
+    return replace(block, handles=handles, fills=fills, batch_size=batch_size)
+
+
+def _charge(
+    block: SourceBlock, context: RunContext, source_id: str, owner: str
+) -> Iterator[Handle]:
+    """Stream a block's kept answers, charging every source event lazily.
+
+    The paper's injection point — *delaying the retrieval of the next
+    answer from the source* — for cold runs and replays, both data planes
+    and both source kinds.  It inlines ``charge_source`` + ``charge_message``
+    (including ``next_delay``'s block-buffered sampling under
+    ``exec="batch"``): identical float adds on the same accumulators in the
+    same order, minus the per-row call overhead.
+    """
+    clock = context.clock
+    virtual = type(clock) is VirtualClock
+    clock_sleep = clock.sleep
+    stats = context.stats
+    src = stats.source(source_id)
+    overhead = context.cost_model.message_overhead
+    delay = context.network.delay
+    sample, sample_block = delay.sample, delay.sample_block
+    rng = context.rng
+    buffered = context.exec_mode == "batch"
+    output_cost = block.output_cost
+    output_positive = output_cost > 0
+    drops_cross_network = block.drops_cross_network
+    try:
+        for pre_cost, handle in zip(block.pre_costs, block.handles):
+            if pre_cost > 0:
+                if virtual:
+                    clock._now += pre_cost
+                else:
+                    clock_sleep(pre_cost)
+                src.virtual_cost += pre_cost
+            if handle is None and not drops_cross_network:
+                continue
+            if output_positive:
+                if virtual:
+                    clock._now += output_cost
+                else:
+                    clock_sleep(output_cost)
+                src.virtual_cost += output_cost
+            if buffered:
+                cursor = context._delay_cursor
+                buffer = context._delay_buffer
+                if cursor >= len(buffer):
+                    buffer = context._delay_buffer = sample_block(rng, _DELAY_BLOCK)
+                    cursor = 0
+                context._delay_cursor = cursor + 1
+                pause = buffer[cursor] + overhead
+            else:
+                pause = sample(rng) + overhead
+            if virtual:
+                clock._now += pause
+            else:
+                clock_sleep(pause)
+            stats.messages += 1
+            src.answers += 1
+            src.network_delay += pause
+            if handle is not None:
+                yield handle
+        residual = block.residual
+        if residual > 0:
+            if virtual:
+                clock._now += residual
+            else:
+                clock_sleep(residual)
+            src.virtual_cost += residual
+    finally:
+        if buffered:
+            observe_batches(context.obs, owner, block.fills, block.batch_size)
+
+
+class _Wrapper:
+    """The request protocol both wrappers share.
+
+    One counted sub-result lookup, the request round trip, then the
+    charges of a block — cached, or fetched by the subclass — or, on the
+    row plane's cold path, the subclass's lazy reference stream.  A stream
+    publishes its block only once the source exhausted it: an
+    early-terminated pull (LIMIT) never reaches the ``put``.
+
+    A *request* is the subclass's positional description of one sub-query;
+    subclasses provide ``_key(*request)``, ``_fetch(context, *request)``,
+    ``_cold_rows(context, record, *request)`` (a generator returning the
+    block it recorded, if asked to) and ``_span_args(*request)``.
+    """
+
+    kind = ""
+
+    def __init__(self, source):
         self.source = source
 
     @property
     def source_id(self) -> str:
         return self.source.source_id
+
+    @property
+    def _owner(self) -> str:
+        """Names this wrapper's spans and batch-fill metrics."""
+        return f"{self.kind} {self.source_id}"
+
+    def _lookup(self, context: RunContext, request: tuple):
+        """``(cache, key, block)``; cache is None when wrappers run uncached."""
+        caches = context.caches
+        if caches is None or not caches.subresults.enabled:
+            return None, None, None
+        subresults = caches.subresults
+        key = self._key(*request)
+        block = subresults.get(key)
+        if block is None:
+            context.stats.subresult_cache_misses += 1
+            return subresults, key, None
+        context.stats.subresult_cache_hits += 1
+        if context.exec_mode == "batch" and block.batch_size != context.batch_size:
+            # Published under another batch size: re-chunk once, republish.
+            block = _rechunked(block, context.batch_size)
+            subresults.put(key, block)
+        return subresults, key, block
+
+    def _handles(self, context: RunContext, *request) -> Iterator[Handle]:
+        source_id = self.source_id
+        subresults, key, block = self._lookup(context, request)
+        context.charge_request(source_id)
+        cached = block is not None
+        if not cached:
+            block = self._fetch(context, *request)
+        yield from _charge(block, context, source_id, self._owner)
+        if subresults is not None and not cached:
+            subresults.put(key, block)
+
+    def _rows(self, context: RunContext, *request) -> Iterator[Solution]:
+        source_id = self.source_id
+        subresults, key, block = self._lookup(context, request)
+        context.charge_request(source_id)
+        if block is not None:
+            for batch, idx in _charge(block, context, source_id, self._owner):
+                yield batch.materialize(idx)
+            return
+        block = yield from self._cold_rows(context, subresults is not None, *request)
+        if subresults is not None:
+            subresults.put(key, block)
+
+    def _stream(self, context: RunContext, handles: bool, *request):
+        """The (optionally observed) stream of one request.
+
+        Not a generator function: nothing runs until the returned stream is
+        pulled, and the unobserved path hands the inner stream straight to
+        the consumer, skipping a delegation frame per pulled row.
+        """
+        if handles:
+            stream = self._handles(context, *request)
+        elif context.exec_mode == "batch":
+            stream = (
+                batch.materialize(idx)
+                for batch, idx in self._handles(context, *request)
+            )
+        else:
+            stream = self._rows(context, *request)
+        if context.obs is None:
+            return stream
+        return _observed_stream(
+            context, self.source_id, self._owner, stream, **self._span_args(*request)
+        )
+
+
+class SQLWrapper(_Wrapper):
+    """Wrapper over one relational source."""
+
+    kind = "SQL"
+    source: RelationalSource
 
     def translate(
         self,
@@ -148,8 +328,8 @@ class SQLWrapper:
         Work done inside the RDBMS is priced from the executor's operation
         meter *as it happens* (the per-row delta), so the virtual timeline
         interleaves source work and transfer exactly like a streaming
-        endpoint would.  With a sub-result cache on the context, a recorded
-        stream for the same (SQL, data version) replays instead — saving
+        endpoint would.  With a sub-result cache on the context, a cached
+        block for the same (SQL, data version) replays instead — saving
         the RDBMS wall-clock work while re-charging identical virtual time.
 
         Observed runs additionally record one wrapper span per execution
@@ -161,23 +341,7 @@ class SQLWrapper:
         solutions between tasks.  Charges are issued by the same per-row
         generator either way, so the virtual timeline is identical.
         """
-        if context.exec_mode == "batch":
-            stream = (
-                batch.materialize(idx)
-                for batch, idx in self._execute_batch(translation, context)
-            )
-        else:
-            stream = self._execute(translation, context)
-        if context.obs is not None:
-            yield from _observed_stream(
-                context,
-                self.source_id,
-                f"SQL {self.source_id}",
-                stream,
-                sql=translation.sql,
-            )
-            return
-        yield from stream
+        return self._stream(context, False, translation)
 
     def execute_batch(
         self,
@@ -191,282 +355,120 @@ class SQLWrapper:
         are bit-identical to metering the row executor, and every charge is
         still issued lazily from a per-row generator frame so virtual time
         interleaves with sibling plan branches exactly like row mode.
-        (Not a generator function: the unobserved path returns the inner
-        stream directly, skipping a delegation frame per pulled row.)
         """
-        stream = self._execute_batch(translation, context)
-        if context.obs is not None:
-            return _observed_stream(
-                context,
-                self.source_id,
-                f"SQL {self.source_id}",
-                stream,
-                sql=translation.sql,
-            )
-        return stream
+        return self._stream(context, True, translation)
 
-    def _execute(
-        self,
-        translation: TranslationResult,
-        context: RunContext,
+    def _span_args(self, translation: TranslationResult) -> dict:
+        return {"sql": translation.sql}
+
+    def _key(self, translation: TranslationResult) -> tuple:
+        return sql_result_key(
+            self.source_id, translation.sql, self.source.database.data_version
+        )
+
+    def _cold_rows(
+        self, context: RunContext, record: bool, translation: TranslationResult
     ) -> Iterator[Solution]:
-        caches = context.caches
-        recording: RecordedSqlResult | None = None
-        key = None
-        if caches is not None and caches.subresults.enabled:
-            key = sql_result_key(
-                self.source_id, translation.sql, self.source.database.data_version
-            )
-            cached = caches.subresults.get(key)
-            if cached is not None:
-                context.stats.subresult_cache_hits += 1
-                context.charge_request(self.source_id)
-                yield from cached.replay(self.source_id, context)
-                return
-            context.stats.subresult_cache_misses += 1
-            recording = RecordedSqlResult()
-        context.charge_request(self.source_id)
+        source_id = self.source_id
         meter = OperationMeter()
         try:
             result = self.source.database.query(translation.statement, meter)
         except Exception as exc:  # pragma: no cover - defensive
             raise WrapperError(
-                f"source {self.source_id!r} failed to execute {translation.sql!r}: {exc}"
+                f"source {source_id!r} failed to execute {translation.sql!r}: {exc}"
             ) from exc
         priced_so_far = 0.0
         cost_model = context.cost_model
+        deltas: list[float] = []
+        rows: list[tuple | None] = []
         for row in result:
             # Price the relational work performed to produce this row.
             total_price = cost_model.price_rdb_operations(meter.counts)
             delta = total_price - priced_so_far
-            context.charge_source(self.source_id, delta)
+            context.charge_source(source_id, delta)
             priced_so_far = total_price
             # The answer crosses the network.
-            context.charge_message(self.source_id)
+            context.charge_message(source_id)
             solution = translation.solution_for(row)
-            if recording is not None:
-                recording.rows.append(
-                    (delta, dict(solution) if solution is not None else None)
-                )
+            if record:
+                deltas.append(delta)
+                rows.append(None if solution is None else tuple(solution.values()))
             if solution is not None:
                 yield solution
         # Residual source work after the last row (e.g. a final scan tail).
         total_price = cost_model.price_rdb_operations(meter.counts)
-        context.charge_source(self.source_id, total_price - priced_so_far)
-        if recording is not None:
-            # Publish only fully-consumed streams: an early-terminated pull
-            # (LIMIT) never reaches this point.
-            recording.residual_cost = total_price - priced_so_far
-            caches.subresults.put(key, recording)
+        residual = total_price - priced_so_far
+        context.charge_source(source_id, residual)
+        if not record:
+            return None
+        names = tuple(binding.variable for binding in translation.outputs)
+        return SourceBlock(
+            deltas,
+            *_chunk_rows(names, rows, context.batch_size),
+            context.batch_size,
+            residual=residual,
+            drops_cross_network=True,
+        )
 
-    def _execute_batch(
-        self,
-        translation: TranslationResult,
-        context: RunContext,
-    ) -> Iterator[Handle]:
-        caches = context.caches
-        recording: RecordedSqlResult | None = None
-        key = None
-        if caches is not None and caches.subresults.enabled:
-            key = sql_result_key(
-                self.source_id, translation.sql, self.source.database.data_version
-            )
-            cached = caches.subresults.get(key)
-            if cached is not None:
-                context.stats.subresult_cache_hits += 1
-                context.charge_request(self.source_id)
-                yield from self._replay_batch(cached, context)
-                return
-            context.stats.subresult_cache_misses += 1
-            recording = RecordedSqlResult()
-        context.charge_request(self.source_id)
+    def _fetch(
+        self, context: RunContext, translation: TranslationResult
+    ) -> SourceBlock:
+        """Vectorized fetch + decode + chunking of one statement.
+
+        Pure data work (no clock or RNG involvement), fully determined by
+        (SQL text, data version, cost model, batch size) — so it runs
+        eagerly and engines in batch mode share the block through the
+        per-database ``sql_blocks`` memo instead of re-scanning immutable
+        tables.  Charges are still issued per row by every run.
+        """
         db = self.source.database
         batch_size = context.batch_size
-        per_db = _SQL_BLOCK_CACHE.get(db)
-        if per_db is None:
-            per_db = _SQL_BLOCK_CACHE[db] = {}
-        block_key = (translation.sql, db.data_version, context.cost_model, batch_size)
-        block = per_db.get(block_key)
+        memo = sql_blocks.region(db)
+        memo_key = (translation.sql, db.data_version, context.cost_model, batch_size)
+        block = memo.get(memo_key)
         if block is None:
-            # Vectorized fetch + decode + chunking: pure data work (no
-            # clock or RNG involvement), fully determined by the cache key,
-            # so it runs eagerly and is shared across runs.
             try:
                 plan = db.plan(translation.statement)
                 rows, deltas, residual = execute_priced(plan, context.cost_model)
             except Exception as exc:  # pragma: no cover - defensive
                 raise WrapperError(
-                    f"source {self.source_id!r} failed to execute {translation.sql!r}: {exc}"
+                    f"source {self.source_id!r} failed to execute "
+                    f"{translation.sql!r}: {exc}"
                 ) from exc
             names, columns, invalid = translation.decode_columns(rows)
             count = len(rows)
-            handles: list[Handle | None] = [None] * count
-            fills: list[int] = []
-            valid = (
+            kept = (
                 range(count)
                 if not invalid
                 else [i for i in range(count) if i not in invalid]
             )
-            for start in range(0, len(valid), batch_size):
-                chunk = valid[start : start + batch_size]
-                batch = SolutionBatch(
-                    names, [[column[i] for i in chunk] for column in columns]
-                )
-                fills.append(len(chunk))
-                for offset, i in enumerate(chunk):
-                    handles[i] = (batch, offset)
-            pairs = list(zip(names, columns))
-            row_events = [
-                (
-                    deltas[i],
-                    {name: column[i] for name, column in pairs}
-                    if handles[i] is not None
-                    else None,
-                )
-                for i in range(count)
-            ]
-            if len(per_db) >= _SQL_BLOCK_CAP:
-                per_db.clear()
-            block = per_db[block_key] = (deltas, residual, handles, fills, row_events)
-        deltas, residual, handles, fills, row_events = block
-        count = len(handles)
-        source_id = self.source_id
-        if recording is not None:
-            # The recorded events are prebuilt with the block (the tuples
-            # are immutable and row-mode replay copies each solution dict).
-            recording.rows = list(row_events)
-            recording.residual_cost = residual
-        # The loop below inlines context.charge_source + charge_message
-        # (including next_delay's buffered block sampling): identical float
-        # adds on the same accumulators in the same order, minus the
-        # per-row function-call overhead of the row path.
-        clock = context.clock
-        virtual = type(clock) is VirtualClock
-        clock_sleep = clock.sleep
-        stats = context.stats
-        src = stats.source(source_id)
-        overhead = context.cost_model.message_overhead
-        sample_block = context.network.delay.sample_block
-        rng = context.rng
-        try:
-            for i in range(count):
-                delta = deltas[i]
-                if delta > 0:
-                    if virtual:
-                        clock._now += delta
-                    else:
-                        clock_sleep(delta)
-                    src.virtual_cost += delta
-                cursor = context._delay_cursor
-                buffer = context._delay_buffer
-                if cursor >= len(buffer):
-                    buffer = context._delay_buffer = sample_block(rng, _DELAY_BLOCK)
-                    cursor = 0
-                context._delay_cursor = cursor + 1
-                pause = buffer[cursor] + overhead
-                if virtual:
-                    clock._now += pause
-                else:
-                    clock_sleep(pause)
-                stats.messages += 1
-                src.answers += 1
-                src.network_delay += pause
-                handle = handles[i]
-                if handle is not None:
-                    yield handle
-            if residual > 0:
-                if virtual:
-                    clock._now += residual
-                else:
-                    clock_sleep(residual)
-                src.virtual_cost += residual
-            if recording is not None:
-                caches.subresults.put(key, recording)
-        finally:
-            observe_batches(context.obs, f"SQL {source_id}", fills, batch_size)
-
-    def _replay_batch(
-        self, recording: RecordedSqlResult, context: RunContext
-    ) -> Iterator[Handle]:
-        source_id = self.source_id
-        batch_size = context.batch_size
-        # Chunk the recorded rows once per (recording, batch size) — pure
-        # data work, memoized on the recording — so a warm replay is just
-        # the charge loop over prebuilt handles.
-        prebuilt = getattr(recording, "_batch_replay", None)
-        if prebuilt is None or prebuilt[0] != batch_size:
-            builders: dict[tuple[str, ...], BatchBuilder] = {}
-            handles: list[Handle | None] = []
-            for __, solution in recording.rows:
-                if solution is None:
-                    handles.append(None)
-                    continue
-                shape = tuple(solution)
-                builder = builders.get(shape)
-                if builder is None:
-                    builder = builders[shape] = BatchBuilder(shape, batch_size)
-                handles.append(builder.append([solution[name] for name in shape]))
-            fills: list[int] = []
-            for builder in builders.values():
-                fills.extend(builder.take_completed())
-            prebuilt = recording._batch_replay = (batch_size, handles, fills)
-        __, handles, fills = prebuilt
-        # Inlined charge_source + charge_message, as in _execute_batch.
-        clock = context.clock
-        virtual = type(clock) is VirtualClock
-        clock_sleep = clock.sleep
-        stats = context.stats
-        src = stats.source(source_id)
-        overhead = context.cost_model.message_overhead
-        sample_block = context.network.delay.sample_block
-        rng = context.rng
-        rows = recording.rows
-        try:
-            for i in range(len(rows)):
-                delta = rows[i][0]
-                if delta > 0:
-                    if virtual:
-                        clock._now += delta
-                    else:
-                        clock_sleep(delta)
-                    src.virtual_cost += delta
-                cursor = context._delay_cursor
-                buffer = context._delay_buffer
-                if cursor >= len(buffer):
-                    buffer = context._delay_buffer = sample_block(rng, _DELAY_BLOCK)
-                    cursor = 0
-                context._delay_cursor = cursor + 1
-                pause = buffer[cursor] + overhead
-                if virtual:
-                    clock._now += pause
-                else:
-                    clock_sleep(pause)
-                stats.messages += 1
-                src.answers += 1
-                src.network_delay += pause
-                handle = handles[i]
-                if handle is not None:
-                    yield handle
-            residual = recording.residual_cost
-            if residual > 0:
-                if virtual:
-                    clock._now += residual
-                else:
-                    clock_sleep(residual)
-                src.virtual_cost += residual
-        finally:
-            observe_batches(context.obs, f"SQL {source_id}", fills, batch_size)
+            block = SourceBlock(
+                deltas,
+                *chunk_columns(names, columns, kept, count, batch_size),
+                batch_size,
+                residual=residual,
+                drops_cross_network=True,
+            )
+            memo.put(memo_key, block)
+        return block
 
 
-class SPARQLWrapper:
+def _survives(
+    solution, bindings: tuple[str, frozenset] | None, tests: list
+) -> bool:
+    """True unless the VALUES restriction or a pushed filter drops the match."""
+    if bindings is not None:
+        variable, terms = bindings
+        if solution.get(variable) not in terms:
+            return False
+    return all(test(solution) for test in tests)
+
+
+class SPARQLWrapper(_Wrapper):
     """Wrapper over one native RDF source."""
 
-    def __init__(self, source: RDFSource):
-        self.source = source
-
-    @property
-    def source_id(self) -> str:
-        return self.source.source_id
+    kind = "SPARQL"
+    source: RDFSource
 
     def execute(
         self,
@@ -486,27 +488,7 @@ class SPARQLWrapper:
         handles are materialized back into dicts (event/thread entry point);
         the charge sequence is identical either way.
         """
-        if context.exec_mode == "batch":
-            stream = (
-                batch.materialize(idx)
-                for batch, idx in self._execute_batch(
-                    star, context, pushed_filters, bindings
-                )
-            )
-        else:
-            stream = self._execute(star, context, pushed_filters, bindings)
-        if context.obs is not None:
-            patterns = " . ".join(p.n3().rstrip(" .") for p in star.patterns)
-            yield from _observed_stream(
-                context,
-                self.source_id,
-                f"SPARQL {self.source_id}",
-                stream,
-                patterns=patterns,
-                restricted=bindings is not None,
-            )
-            return
-        yield from stream
+        return self._stream(context, False, star, pushed_filters, bindings)
 
     def execute_batch(
         self,
@@ -515,356 +497,116 @@ class SPARQLWrapper:
         pushed_filters: list[Filter] | None = None,
         bindings: tuple[str, frozenset] | None = None,
     ) -> Iterator[Handle]:
-        """Evaluate the star and stream *batch handles* (columnar hot path).
+        """Evaluate the star and stream *batch handles* (columnar hot path)."""
+        return self._stream(context, True, star, pushed_filters, bindings)
 
-        Not a generator function — the unobserved path returns the inner
-        stream directly, skipping a delegation frame per pulled row.
-        """
-        stream = self._execute_batch(star, context, pushed_filters, bindings)
-        if context.obs is not None:
-            patterns = " . ".join(p.n3().rstrip(" .") for p in star.patterns)
-            return _observed_stream(
-                context,
-                self.source_id,
-                f"SPARQL {self.source_id}",
-                stream,
-                patterns=patterns,
-                restricted=bindings is not None,
-            )
-        return stream
+    def _span_args(self, star: StarSubquery, pushed_filters, bindings) -> dict:
+        return {
+            "patterns": " . ".join(p.n3().rstrip(" .") for p in star.patterns),
+            "restricted": bindings is not None,
+        }
 
-    def _execute(
+    def _key(
         self,
         star: StarSubquery,
-        context: RunContext,
-        pushed_filters: list[Filter] | None = None,
-        bindings: tuple[str, frozenset] | None = None,
-    ) -> Iterator[Solution]:
-        cost_model = context.cost_model
-        lookup_cost = cost_model.rdf_triple_lookup * len(star.patterns)
-        caches = context.caches
-        recording: RecordedSparqlResult | None = None
-        key = None
-        if caches is not None and caches.subresults.enabled:
-            key = sparql_result_key(
-                self.source_id,
-                " . ".join(pattern.n3() for pattern in star.patterns),
-                " && ".join(f.n3() for f in pushed_filters or []),
-                None
-                if bindings is None
-                else (bindings[0], tuple(sorted(term.n3() for term in bindings[1]))),
-                self.source.graph.version,
-            )
-            cached = caches.subresults.get(key)
-            if cached is not None:
-                context.stats.subresult_cache_hits += 1
-                context.charge_request(self.source_id)
-                yield from cached.replay(self.source_id, context)
-                return
-            context.stats.subresult_cache_misses += 1
-            recording = RecordedSparqlResult(
-                lookup_cost=lookup_cost, output_cost=cost_model.rdf_output_row
-            )
-        context.charge_request(self.source_id)
-        filters = list(pushed_filters or [])
-        tests = [compile_holds(f.expression) for f in filters]
-        for solution in evaluate_bgp(self.source.graph, star.patterns):
-            # Each solution required one lookup per triple pattern (amortized).
-            context.charge_source(self.source_id, lookup_cost)
-            dropped = False
-            if bindings is not None:
-                variable, terms = bindings
-                dropped = solution.get(variable) not in terms
-            if not dropped and filters:
-                dropped = not all(test(solution) for test in tests)
-            if recording is not None:
-                recording.matches.append(None if dropped else dict(solution))
-            if dropped:
-                continue
-            context.charge_source(self.source_id, cost_model.rdf_output_row)
-            context.charge_message(self.source_id)
-            yield dict(solution)
-        if recording is not None:
-            caches.subresults.put(key, recording)
-
-    def _execute_batch(
-        self,
-        star: StarSubquery,
-        context: RunContext,
-        pushed_filters: list[Filter] | None = None,
-        bindings: tuple[str, frozenset] | None = None,
-    ) -> Iterator[Handle]:
-        cost_model = context.cost_model
-        lookup_cost = cost_model.rdf_triple_lookup * len(star.patterns)
-        caches = context.caches
-        recording: RecordedSparqlResult | None = None
-        key = None
-        if caches is not None and caches.subresults.enabled:
-            key = sparql_result_key(
-                self.source_id,
-                " . ".join(pattern.n3() for pattern in star.patterns),
-                " && ".join(f.n3() for f in pushed_filters or []),
-                None
-                if bindings is None
-                else (bindings[0], tuple(sorted(term.n3() for term in bindings[1]))),
-                self.source.graph.version,
-            )
-            cached = caches.subresults.get(key)
-            if cached is not None:
-                context.stats.subresult_cache_hits += 1
-                context.charge_request(self.source_id)
-                yield from self._replay_batch(cached, context)
-                return
-            context.stats.subresult_cache_misses += 1
-            recording = RecordedSparqlResult(
-                lookup_cost=lookup_cost, output_cost=cost_model.rdf_output_row
-            )
-        context.charge_request(self.source_id)
-        filters = list(pushed_filters or [])
-        tests = [compile_holds(f.expression) for f in filters]
-        output_cost = cost_model.rdf_output_row
-        source_id = self.source_id
-        charge_source = context.charge_source
-        charge_message = context.charge_message
-        batch_size = context.batch_size
-        columnar = evaluate_bgp_columns(self.source.graph, star.patterns)
-        if columnar is not None:
-            names, columns = columnar
-            count = len(columns[0]) if columns else 0
-            # Restriction/filter checks and chunking are pure data work (no
-            # clock or RNG), so they run eagerly; charges are then issued
-            # per match from the generator loop, exactly like row mode.
-            kept: list[int] | range
-            if bindings is None and not filters:
-                kept = range(count)
-            else:
-                check_batch = SolutionBatch(names, columns) if filters else None
-                terms: frozenset | None = None
-                bind_pos = -1
-                if bindings is not None:
-                    variable, terms = bindings
-                    bind_pos = names.index(variable) if variable in names else -1
-                kept = []
-                for i in range(count):
-                    if terms is not None:
-                        value = columns[bind_pos][i] if bind_pos >= 0 else None
-                        if value not in terms:
-                            continue
-                    if check_batch is not None:
-                        view = RowView(check_batch, i)
-                        if not all(test(view) for test in tests):
-                            continue
-                    kept.append(i)
-            handles: list[Handle | None] = [None] * count
-            fills: list[int] = []
-            if isinstance(kept, range):
-                for start in range(0, count, batch_size):
-                    stop = min(start + batch_size, count)
-                    chunk_batch = SolutionBatch(
-                        names, [column[start:stop] for column in columns]
-                    )
-                    fills.append(stop - start)
-                    for offset in range(stop - start):
-                        handles[start + offset] = (chunk_batch, offset)
-            else:
-                for start in range(0, len(kept), batch_size):
-                    chunk = kept[start : start + batch_size]
-                    chunk_batch = SolutionBatch(
-                        names, [[column[i] for i in chunk] for column in columns]
-                    )
-                    fills.append(len(chunk))
-                    for offset, i in enumerate(chunk):
-                        handles[i] = (chunk_batch, offset)
-            pairs = list(zip(names, columns))
-            # Inlined charge_source + charge_message (see the SQL wrapper).
-            clock = context.clock
-            virtual = type(clock) is VirtualClock
-            clock_sleep = clock.sleep
-            stats = context.stats
-            src = stats.source(source_id)
-            overhead = cost_model.message_overhead
-            sample_block = context.network.delay.sample_block
-            rng = context.rng
-            lookup_positive = lookup_cost > 0
-            output_positive = output_cost > 0
-            record = recording.matches.append if recording is not None else None
-            try:
-                for i in range(count):
-                    if lookup_positive:
-                        if virtual:
-                            clock._now += lookup_cost
-                        else:
-                            clock_sleep(lookup_cost)
-                        src.virtual_cost += lookup_cost
-                    handle = handles[i]
-                    if record is not None:
-                        record(
-                            None
-                            if handle is None
-                            else {name: column[i] for name, column in pairs}
-                        )
-                    if handle is None:
-                        continue
-                    if output_positive:
-                        if virtual:
-                            clock._now += output_cost
-                        else:
-                            clock_sleep(output_cost)
-                        src.virtual_cost += output_cost
-                    cursor = context._delay_cursor
-                    buffer = context._delay_buffer
-                    if cursor >= len(buffer):
-                        buffer = context._delay_buffer = sample_block(
-                            rng, _DELAY_BLOCK
-                        )
-                        cursor = 0
-                    context._delay_cursor = cursor + 1
-                    pause = buffer[cursor] + overhead
-                    if virtual:
-                        clock._now += pause
-                    else:
-                        clock_sleep(pause)
-                    stats.messages += 1
-                    src.answers += 1
-                    src.network_delay += pause
-                    yield handle
-                if recording is not None:
-                    caches.subresults.put(key, recording)
-            finally:
-                observe_batches(context.obs, f"SPARQL {source_id}", fills, batch_size)
-            return
-        builders: dict[tuple[str, ...], BatchBuilder] = {}
-        try:
-            for solution in evaluate_bgp(self.source.graph, star.patterns):
-                charge_source(source_id, lookup_cost)
-                dropped = False
-                if bindings is not None:
-                    variable, terms = bindings
-                    dropped = solution.get(variable) not in terms
-                if not dropped and filters:
-                    dropped = not all(test(solution) for test in tests)
-                if recording is not None:
-                    recording.matches.append(None if dropped else dict(solution))
-                if dropped:
-                    continue
-                charge_source(source_id, output_cost)
-                charge_message(source_id)
-                shape = tuple(solution)
-                builder = builders.get(shape)
-                if builder is None:
-                    builder = builders[shape] = BatchBuilder(shape, batch_size)
-                yield builder.append([solution[name] for name in shape])
-            if recording is not None:
-                caches.subresults.put(key, recording)
-        finally:
-            for builder in builders.values():
-                observe_batches(
-                    context.obs,
-                    f"SPARQL {source_id}",
-                    builder.take_completed(),
-                    batch_size,
-                )
-
-    def _replay_batch(
-        self, recording: RecordedSparqlResult, context: RunContext
-    ) -> Iterator[Handle]:
-        source_id = self.source_id
-        lookup_cost = recording.lookup_cost
-        output_cost = recording.output_cost
-        batch_size = context.batch_size
-        # Prebuilt chunk handles, memoized on the recording (see the SQL
-        # wrapper's _replay_batch).
-        prebuilt = getattr(recording, "_batch_replay", None)
-        if prebuilt is None or prebuilt[0] != batch_size:
-            builders: dict[tuple[str, ...], BatchBuilder] = {}
-            handles: list[Handle | None] = []
-            for solution in recording.matches:
-                if solution is None:
-                    handles.append(None)
-                    continue
-                shape = tuple(solution)
-                builder = builders.get(shape)
-                if builder is None:
-                    builder = builders[shape] = BatchBuilder(shape, batch_size)
-                handles.append(builder.append([solution[name] for name in shape]))
-            fills: list[int] = []
-            for builder in builders.values():
-                fills.extend(builder.take_completed())
-            prebuilt = recording._batch_replay = (batch_size, handles, fills)
-        __, handles, fills = prebuilt
-        # Inlined charge_source + charge_message, as in _execute_batch.
-        clock = context.clock
-        virtual = type(clock) is VirtualClock
-        clock_sleep = clock.sleep
-        stats = context.stats
-        src = stats.source(source_id)
-        overhead = context.cost_model.message_overhead
-        sample_block = context.network.delay.sample_block
-        rng = context.rng
-        lookup_positive = lookup_cost > 0
-        output_positive = output_cost > 0
-        try:
-            for handle in handles:
-                if lookup_positive:
-                    if virtual:
-                        clock._now += lookup_cost
-                    else:
-                        clock_sleep(lookup_cost)
-                    src.virtual_cost += lookup_cost
-                if handle is None:
-                    continue
-                if output_positive:
-                    if virtual:
-                        clock._now += output_cost
-                    else:
-                        clock_sleep(output_cost)
-                    src.virtual_cost += output_cost
-                cursor = context._delay_cursor
-                buffer = context._delay_buffer
-                if cursor >= len(buffer):
-                    buffer = context._delay_buffer = sample_block(rng, _DELAY_BLOCK)
-                    cursor = 0
-                context._delay_cursor = cursor + 1
-                pause = buffer[cursor] + overhead
-                if virtual:
-                    clock._now += pause
-                else:
-                    clock_sleep(pause)
-                stats.messages += 1
-                src.answers += 1
-                src.network_delay += pause
-                yield handle
-        finally:
-            observe_batches(context.obs, f"SPARQL {source_id}", fills, batch_size)
-
-    def execute_restricted(
-        self,
-        star: StarSubquery,
-        context: RunContext,
-        variable: str,
-        terms: list,
-        pushed_filters: list[Filter] | None = None,
-    ) -> Iterator[Solution]:
-        """VALUES-style restricted evaluation (dependent join support)."""
-        yield from self.execute(
-            star,
-            context,
-            pushed_filters=pushed_filters,
-            bindings=(variable, frozenset(terms)),
+        pushed_filters: list[Filter] | None,
+        bindings: tuple[str, frozenset] | None,
+    ) -> tuple:
+        return sparql_result_key(
+            self.source_id,
+            " . ".join(pattern.n3() for pattern in star.patterns),
+            " && ".join(f.n3() for f in pushed_filters or []),
+            None
+            if bindings is None
+            else (bindings[0], tuple(sorted(term.n3() for term in bindings[1]))),
+            self.source.graph.version,
         )
 
-    def execute_restricted_batch(
+    def _cold_rows(
         self,
-        star: StarSubquery,
         context: RunContext,
-        variable: str,
-        terms: list,
-        pushed_filters: list[Filter] | None = None,
-    ) -> Iterator[Handle]:
-        """Restricted evaluation on the columnar hot path."""
-        return self.execute_batch(
-            star,
-            context,
-            pushed_filters=pushed_filters,
-            bindings=(variable, frozenset(terms)),
+        record: bool,
+        star: StarSubquery,
+        pushed_filters: list[Filter] | None,
+        bindings: tuple[str, frozenset] | None,
+    ) -> Iterator[Solution]:
+        source_id = self.source_id
+        cost_model = context.cost_model
+        lookup_cost = cost_model.rdf_triple_lookup * len(star.patterns)
+        tests = [compile_holds(f.expression) for f in pushed_filters or []]
+        names: tuple[str, ...] = ()
+        rows: list[tuple | None] = []
+        for solution in evaluate_bgp(self.source.graph, star.patterns):
+            # Each solution required one lookup per triple pattern (amortized).
+            context.charge_source(source_id, lookup_cost)
+            kept = _survives(solution, bindings, tests)
+            if record:
+                names = names or tuple(solution)
+                rows.append(tuple(solution.values()) if kept else None)
+            if not kept:
+                continue
+            context.charge_source(source_id, cost_model.rdf_output_row)
+            context.charge_message(source_id)
+            yield dict(solution)
+        if not record:
+            return None
+        return SourceBlock(
+            [lookup_cost] * len(rows),
+            *_chunk_rows(names, rows, context.batch_size),
+            context.batch_size,
+            output_cost=cost_model.rdf_output_row,
+        )
+
+    def _fetch(
+        self,
+        context: RunContext,
+        star: StarSubquery,
+        pushed_filters: list[Filter] | None,
+        bindings: tuple[str, frozenset] | None,
+    ) -> SourceBlock:
+        """Evaluate the star eagerly into a block (no clock or RNG involved).
+
+        Matching, restriction/filter checks and chunking are pure data
+        work; the lookup and output charges are issued per match by the
+        charge loop, exactly like row mode.
+        """
+        cost_model = context.cost_model
+        lookup_cost = cost_model.rdf_triple_lookup * len(star.patterns)
+        batch_size = context.batch_size
+        tests = [compile_holds(f.expression) for f in pushed_filters or []]
+        columnar = evaluate_bgp_columns(self.source.graph, star.patterns)
+        if columnar is None:
+            # Not a star the columnar matcher supports: generic evaluator.
+            solutions = list(evaluate_bgp(self.source.graph, star.patterns))
+            count = len(solutions)
+            rows = [
+                tuple(solution.values())
+                if _survives(solution, bindings, tests)
+                else None
+                for solution in solutions
+            ]
+            names = tuple(solutions[0]) if solutions else ()
+            chunks = _chunk_rows(names, rows, batch_size)
+        else:
+            names, columns = columnar
+            count = len(columns[0]) if columns else 0
+            kept: "list[int] | range" = range(count)
+            if bindings is not None:
+                variable, terms = bindings
+                if variable in names:
+                    bound = columns[names.index(variable)]
+                    kept = [i for i in kept if bound[i] in terms]
+                else:
+                    kept = []
+            if tests:
+                whole = SolutionBatch(names, columns)
+                kept = [
+                    i for i in kept if all(test(RowView(whole, i)) for test in tests)
+                ]
+            chunks = chunk_columns(names, columns, kept, count, batch_size)
+        return SourceBlock(
+            [lookup_cost] * count,
+            *chunks,
+            batch_size,
+            output_cost=cost_model.rdf_output_row,
         )

@@ -14,9 +14,9 @@ optimized form directly (one flat join over base tables).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from ..cache.memos import term_decoders, translations
 from ..exceptions import TranslationError
 from ..rdf.namespaces import RDF_TYPE
 from ..rdf.terms import IRI, Literal, Term, Variable
@@ -109,16 +109,19 @@ class VariableBinding:
         raise TranslationError(f"cannot convert {term!r} to a SQL value")
 
 
-#: Per-binding ``SQL value -> Term | None`` decode memos.  Bindings are
-#: frozen value objects and terms are immutable, so the memo is exact; the
-#: value space is the (bounded) set of distinct column values per source.
-_TERM_MEMOS: dict[VariableBinding, dict[SQLValue, Term | None]] = {}
-
-
 def _term_memo(binding: VariableBinding) -> dict[SQLValue, Term | None]:
-    memo = _TERM_MEMOS.get(binding)
+    """The ``SQL value -> Term | None`` decode table of one binding.
+
+    Bindings are frozen value objects and terms are immutable, so the memo
+    is exact; the value space is the (bounded) set of distinct column values
+    per source.  The table itself is a plain dict (single dict operations
+    are atomic under the GIL); the ``term_decoders`` region bounds how many
+    bindings keep one.
+    """
+    memo = term_decoders.get(binding)
     if memo is None:
-        memo = _TERM_MEMOS[binding] = {}
+        memo = {}
+        term_decoders.put(binding, memo)
     return memo
 
 
@@ -449,25 +452,6 @@ class _Translator:
         raise TranslationError(f"function {name} is not translatable to SQL")
 
 
-#: LRU memo for star→SQL translation, keyed structurally: the N3
-#: serialization of every pattern and filter plus the full mapping layout.
-#: Equal keys therefore mean structurally identical inputs, even across
-#: re-parsed copies of the same query.  Entries are shared read-only: every
-#: consumer (including ``TranslationResult.restricted``) copies before
-#: modifying.
-_TRANSLATION_MEMO_CAPACITY = 256
-_translation_memo: "OrderedDict[tuple, TranslationResult]" = OrderedDict()
-_MEMOIZE_TRANSLATIONS = True
-
-
-def set_translation_memoization(enabled: bool) -> None:
-    """Toggle the process-wide star→SQL translation memo (clears it off)."""
-    global _MEMOIZE_TRANSLATIONS
-    _MEMOIZE_TRANSLATIONS = enabled
-    if not enabled:
-        _translation_memo.clear()
-
-
 def _mapping_key(mapping: ClassMapping) -> tuple:
     return (
         mapping.source_id,
@@ -489,6 +473,8 @@ def _translation_key(
     pushed_filters: list[Filter] | None,
     distinct: bool,
 ) -> tuple:
+    """The structural memo key of one translation: the N3 serialization of
+    every pattern and filter plus the full mapping layout."""
     return (
         tuple(
             (
@@ -520,18 +506,15 @@ def translate_stars(
     """
     if not stars:
         raise TranslationError("translate_stars needs at least one star")
-    key = None
-    if _MEMOIZE_TRANSLATIONS:
-        key = _translation_key(stars, pushed_filters, distinct)
-        cached = _translation_memo.get(key)
-        if cached is not None:
-            _translation_memo.move_to_end(key)
-            return cached
-    result = _translate_stars(stars, pushed_filters, distinct)
-    if key is not None:
-        _translation_memo[key] = result
-        while len(_translation_memo) > _TRANSLATION_MEMO_CAPACITY:
-            _translation_memo.popitem(last=False)
+    # Memoized structurally (see _translation_key): equal keys mean
+    # structurally identical inputs, even across re-parsed copies of the
+    # same query.  Entries are shared read-only: every consumer (including
+    # ``TranslationResult.restricted``) copies before modifying.
+    key = _translation_key(stars, pushed_filters, distinct)
+    result = translations.get(key)
+    if result is None:
+        result = _translate_stars(stars, pushed_filters, distinct)
+        translations.put(key, result)
     return result
 
 

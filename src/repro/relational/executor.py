@@ -99,17 +99,6 @@ def _is_string_predicate(predicate: WhereExpr) -> bool:
     return isinstance(predicate, LikePredicate)
 
 
-_MEMOIZE_PREDICATES = True
-
-
-def set_predicate_memoization(enabled: bool) -> None:
-    """Toggle the process-wide predicate-compilation memo (and clear it off)."""
-    global _MEMOIZE_PREDICATES
-    _MEMOIZE_PREDICATES = enabled
-    if not enabled:
-        _compile_predicate_memo.cache_clear()
-
-
 def compile_predicate(header: Header, predicate: WhereExpr) -> Callable[[Row], bool]:
     """Compile a WHERE expression into a row predicate closure.
 
@@ -118,12 +107,10 @@ def compile_predicate(header: Header, predicate: WhereExpr) -> Callable[[Row], b
     queries.  Constants that happen to be unhashable fall back to direct
     compilation.
     """
-    if _MEMOIZE_PREDICATES:
-        try:
-            return _compile_predicate_memo(header, predicate)
-        except TypeError:
-            pass
-    return _compile_predicate(header, predicate)
+    try:
+        return _compile_predicate_memo(header, predicate)
+    except TypeError:
+        return _compile_predicate(header, predicate)
 
 
 def _compile_predicate(header: Header, predicate: WhereExpr) -> Callable[[Row], bool]:

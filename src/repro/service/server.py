@@ -45,12 +45,11 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
+from ..cache import LRUCache
 from ..federation.answers import EXEC_MODES, Solution
 from ..obs.journal import EventJournal
 from ..obs.promexport import render_exposition
@@ -181,11 +180,10 @@ class QueryService:
         # version in the key invalidates every entry the moment the lake's
         # data changes; LRU-bounded by ``config.result_cache_size``.
         # Observed runs bypass it — a trace must measure a real execution.
-        self._result_cache: OrderedDict[tuple, tuple[list, dict]] = OrderedDict()
-        self._result_cache_lock = threading.Lock()
-        self._result_cache_hits = 0
-        self._result_cache_misses = 0
-        self._result_cache_evictions = 0
+        self._result_cache = LRUCache(
+            max(1, config.result_cache_size),
+            enabled=config.result_cache_size > 0 and not config.observe,
+        )
         # Telemetry plane: SLO accountant + event journal observe every
         # admission transition; the journal optionally streams canonical
         # JSONL to config.journal_path.
@@ -339,14 +337,14 @@ class QueryService:
         caches = {
             name: stats.as_dict() for name, stats in self.pool.cache_stats().items()
         }
-        with self._result_cache_lock:
-            result_cache = {
-                "capacity": self.config.result_cache_size,
-                "entries": len(self._result_cache),
-                "hits": self._result_cache_hits,
-                "misses": self._result_cache_misses,
-                "evictions": self._result_cache_evictions,
-            }
+        result_stats = self._result_cache.stats()
+        result_cache = {
+            "capacity": self.config.result_cache_size,
+            "entries": result_stats.size,
+            "hits": result_stats.hits,
+            "misses": result_stats.misses,
+            "evictions": result_stats.evictions,
+        }
         cache_stats = dict(caches)
         cache_stats["result"] = result_cache
         return 200, {
@@ -456,17 +454,14 @@ class QueryService:
 
         named = BENCHMARK_QUERIES.get(record.query)
         query_text = named.text if named is not None else record.query
-        use_cache = self.config.result_cache_size > 0 and not self.config.observe
+        # A disabled cache is never looked up: its miss counter stays 0.
+        use_cache = self._result_cache.enabled
         key = self._result_cache_key(query_text, record) if use_cache else None
         if use_cache:
-            with self._result_cache_lock:
-                cached = self._result_cache.get(key)
-                if cached is not None:
-                    self._result_cache.move_to_end(key)
-                    self._result_cache_hits += 1
-                    answers, stats = cached
-                    return answers, dict(stats, result_cache="hit"), None
-                self._result_cache_misses += 1
+            cached = self._result_cache.get(key)
+            if cached is not None:
+                answers, stats = cached
+                return answers, dict(stats, result_cache="hit"), None
         engine = self.pool.checkout()
         try:
             stream = engine.execute(
@@ -526,14 +521,7 @@ class QueryService:
                 report = attribute_run(observation, stats, queue_wait=queue_wait)
                 stats_doc["critical_path"] = report.summary()
             if use_cache:
-                evicted = 0
-                with self._result_cache_lock:
-                    self._result_cache[key] = (serialized, stats_doc)
-                    self._result_cache.move_to_end(key)
-                    while len(self._result_cache) > self.config.result_cache_size:
-                        self._result_cache.popitem(last=False)
-                        self._result_cache_evictions += 1
-                        evicted += 1
+                evicted = self._result_cache.put(key, (serialized, stats_doc))
                 if evicted:
                     # Journaled from the executor thread (append is locked).
                     self.journal.append(

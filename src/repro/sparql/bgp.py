@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from itertools import product
 from typing import Iterable, Iterator
-from weakref import WeakKeyDictionary
 
+from ..cache.memos import star_columns
 from ..rdf.graph import Graph
 from ..rdf.terms import IRI, PatternTerm, Term, Variable
 from .algebra import (
@@ -97,13 +97,6 @@ def evaluate_bgp(
     return iter(solutions)
 
 
-#: Columnar star-match memo: graph -> {(version, patterns key): (names, columns)}.
-#: Keyed weakly so dropped graphs release their materialized matches; capped
-#: per graph so mutation-heavy runs (fuzz) cannot grow it unboundedly.
-_STAR_COLUMNS_MEMO: "WeakKeyDictionary[Graph, dict]" = WeakKeyDictionary()
-_STAR_MEMO_CAP = 32
-
-
 def _star_shape(patterns: list[TriplePattern]) -> str | None:
     """The shared subject variable of a star BGP, or None when not a star.
 
@@ -139,17 +132,16 @@ def evaluate_bgp_columns(
     Returns ``(names, columns)`` where row *i* of the columns is exactly the
     *i*-th solution :func:`evaluate_bgp` would yield (same variable binding
     order, same row order — the index walks are identical).  Matches are
-    memoized per (graph, data version), so repeated evaluations (dependent
-    join blocks, benchmark reruns) reuse the materialized columns.
+    memoized per (graph, data version) in the ``star_columns`` region —
+    released with the graph, LRU-capped per graph — so repeated evaluations
+    (dependent join blocks, benchmark reruns) reuse the materialized columns.
     """
     subject_name = _star_shape(patterns)
     if subject_name is None:
         return None
-    per_graph = _STAR_COLUMNS_MEMO.get(graph)
-    if per_graph is None:
-        per_graph = _STAR_COLUMNS_MEMO[graph] = {}
+    memo = star_columns.region(graph)
     key = (graph.version, tuple(pattern.n3() for pattern in patterns))
-    cached = per_graph.get(key)
+    cached = memo.get(key)
     if cached is not None:
         return cached
 
@@ -207,10 +199,8 @@ def evaluate_bgp_columns(
             for column, value in zip(columns, head):
                 column.append(value)
 
-    if len(per_graph) >= _STAR_MEMO_CAP:
-        per_graph.clear()
     result = (tuple(names), columns)
-    per_graph[key] = result
+    memo.put(key, result)
     return result
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from typing import Mapping
 
+from ..cache.memos import compiled_holds
 from ..exceptions import ExpressionError
 from ..rdf.terms import (
     BNode,
@@ -88,12 +89,6 @@ def holds(expression: Expression, solution: Solution) -> bool:
 
 # -- compiled filter predicates ---------------------------------------------
 
-#: Structural memo of compiled FILTER predicates.  Algebra nodes are frozen
-#: dataclasses, so equal expressions from different parses share one entry;
-#: capped so fuzz runs with many distinct filters cannot grow it unboundedly.
-_COMPILED_HOLDS: dict = {}
-_COMPILED_HOLDS_CAP = 256
-
 _FLIPPED = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 
@@ -106,12 +101,15 @@ def compile_holds(expression: Expression):
     including its error semantics (unbound variable, mixed-type order, and
     TypeError all reject the row).  Every other shape falls back to the
     interpreter unchanged.
+
+    Memoized structurally in the ``compiled_holds`` region: algebra nodes
+    are frozen dataclasses, so equal expressions from different parses
+    share one entry.
     """
-    fn = _COMPILED_HOLDS.get(expression)
+    fn = compiled_holds.get(expression)
     if fn is None:
-        if len(_COMPILED_HOLDS) >= _COMPILED_HOLDS_CAP:
-            _COMPILED_HOLDS.clear()
-        fn = _COMPILED_HOLDS[expression] = _compile_holds(expression)
+        fn = _compile_holds(expression)
+        compiled_holds.put(expression, fn)
     return fn
 
 

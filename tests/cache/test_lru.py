@@ -25,6 +25,14 @@ class TestLRUCache:
         assert cache.get("c") == 3
         assert cache.stats().evictions == 1
 
+    def test_put_reports_how_many_entries_it_evicted(self):
+        cache = LRUCache(capacity=2)
+        assert cache.put("a", 1) == 0
+        assert cache.put("b", 2) == 0
+        assert cache.put("a", 10) == 0  # overwrite: nothing leaves
+        assert cache.put("c", 3) == 1
+        assert LRUCache(capacity=2, enabled=False).put("a", 1) == 0
+
     def test_put_refreshes_recency(self):
         cache = LRUCache(capacity=2)
         cache.put("a", 1)

@@ -13,9 +13,9 @@ import random
 
 import pytest
 
+from repro.cache import clear_memos, memo_stats
 from repro.core.engine import FederatedEngine
 from repro.datalake import SemanticDataLake
-from repro.federation.operators import _JOIN_STREAM_MEMO
 from repro.network.delays import NetworkSetting
 from repro.rdf.terms import IRI, Literal
 from repro.sparql.algebra import BinaryOp, TermExpr, VariableExpr
@@ -190,7 +190,8 @@ class TestJoinStreamMemo:
 
     def test_replay_is_bit_identical(self):
         lake = build_lake()
-        _JOIN_STREAM_MEMO.clear()
+        clear_memos()
+        before = memo_stats()["join_streams"]
         first = None
         for __ in range(3):  # first run records, later runs replay
             engine = FederatedEngine(lake, exec="batch")
@@ -200,7 +201,9 @@ class TestJoinStreamMemo:
                 first = outcome
             else:
                 assert outcome == first
-        assert _JOIN_STREAM_MEMO  # the join stream was memoized
+        after = memo_stats()["join_streams"]
+        assert after.size == 1  # the join stream was memoized ...
+        assert after.hits - before.hits == 2  # ... and replayed twice
 
     def test_identical_lakes_do_not_collide(self):
         # Two different lakes with identical schemas, SQL text and data
@@ -244,10 +247,12 @@ class TestJoinStreamMemo:
 
     def test_observed_runs_bypass_the_memo(self):
         lake = build_lake()
-        _JOIN_STREAM_MEMO.clear()
+        clear_memos()
+        before = memo_stats()["join_streams"]
         engine = FederatedEngine(lake, exec="batch")
         __, __, observation = engine.observe(TINY_CROSS_SOURCE_QUERY, seed=3)
-        assert not _JOIN_STREAM_MEMO
+        after = memo_stats()["join_streams"]
+        assert after.size == 0 and after.lookups == before.lookups
         # and the observed run still produced per-operator profiles
         report = observation.profile_report()
         assert any(entry.rows_out for entry in report.entries)
