@@ -11,7 +11,20 @@ Architecture (langbridge-style worker data plane, scaled to this repo)::
 replay harness) can drive the exact service logic the HTTP layer exposes.
 The HTTP layer itself is a minimal hand-rolled HTTP/1.1 server on
 ``asyncio.start_server`` — no third-party dependency, one JSON document
-per response, ``Connection: close``.
+per response, ``Connection: close``; the request head is one bounded read,
+and a malformed request is a ``4xx``, never a ``500``.
+
+What runs where.  The loop thread owns every admission transition, the
+cross-request result cache's one lookup — made when a ticket *starts*, at
+submit if a slot is free, otherwise in the pump that frees one — and the
+HTTP writer; an executor thread owns a miss: the engine run, the one JSON
+encoding of its answers, the cache fill.  A result-cache **hit** therefore
+never leaves the loop: it passes admission (submit → start → done, so
+limits, fair share, SLO and journal see it like any request) and is
+complete the moment it starts — before its ``202`` is written when a slot
+was free — with no task, no executor hand-off and no thread wake-up.  ``GET …/result`` splices the answers' bytes encoded
+once by the miss that created them — the miss's own response included —
+into a document byte-identical to ``json.dumps(result, sort_keys=True)``.
 
 API:
 
@@ -47,14 +60,14 @@ import asyncio
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..cache import LRUCache
 from ..federation.answers import EXEC_MODES, Solution
 from ..obs.journal import EventJournal
 from ..obs.promexport import render_exposition
 from ..obs.slo import SLOAccountant
-from .admission import AdmissionController, DONE, RUNNING, SHED, TIMED_OUT, Ticket
+from .admission import AdmissionController, DONE, QUEUED, SHED, TIMED_OUT, Ticket
 from .config import ServiceConfig, ServiceConfigError
 from .pool import EnginePool
 
@@ -77,6 +90,7 @@ _REASONS = {
     409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     504: "Gateway Timeout",
 }
@@ -92,6 +106,18 @@ def serialize_answers(answers: list[Solution]) -> list[dict[str, str]]:
     return [serialize_solution(solution) for solution in answers]
 
 
+class _Result(NamedTuple):
+    """One finished execution: what the result cache stores and what a
+    finished request points at.  ``answers_json`` is
+    ``json.dumps(answers, sort_keys=True)`` encoded once, by the executor
+    thread of the miss that ran the query; every ``GET …/result`` of that
+    miss and of each later hit splices the same bytes into its response."""
+
+    answers: list[dict[str, str]]
+    answers_json: bytes
+    stats: dict
+
+
 class _Request:
     """Service-side state of one submitted request."""
 
@@ -102,9 +128,7 @@ class _Request:
         "runtime",
         "exec",
         "started",
-        "finished",
-        "answers",
-        "stats",
+        "result",
         "observation",
         "error",
     )
@@ -123,9 +147,7 @@ class _Request:
         self.runtime = runtime
         self.exec = exec
         self.started = asyncio.Event()
-        self.finished = asyncio.Event()
-        self.answers: list[dict[str, str]] | None = None
-        self.stats: dict | None = None
+        self.result: _Result | None = None
         self.observation = None
         self.error: str | None = None
 
@@ -141,6 +163,7 @@ class QueryService:
     ):
         config.validate()
         from ..benchmark.baseline import NETWORK_CHOICES, POLICY_CHOICES
+        from ..datasets import BENCHMARK_QUERIES
         from ..runtime import RUNTIMES
 
         if config.policy not in POLICY_CHOICES:
@@ -162,6 +185,7 @@ class QueryService:
                 f"unknown exec mode {config.exec!r}; choose from {EXEC_MODES}"
             )
         self.config = config
+        self._named_queries = BENCHMARK_QUERIES
         self.pool = EnginePool(
             lake,
             size=config.workers,
@@ -176,7 +200,7 @@ class QueryService:
         self.admission = AdmissionController(config)
         self._lake = lake
         # Cross-request result cache: (canonical query, catalog version,
-        # seed, runtime, exec) -> (serialized answers, stats).  The catalog
+        # seed, runtime, exec) -> _Result.  The catalog
         # version in the key invalidates every entry the moment the lake's
         # data changes; LRU-bounded by ``config.result_cache_size``.
         # Observed runs bypass it — a trace must measure a real execution.
@@ -225,7 +249,8 @@ class QueryService:
                 "detail": f"field 'tenant' must be a non-empty string, got {tenant!r}",
             }
         seed = payload.get("seed")
-        if seed is not None and not isinstance(seed, int):
+        # bool is an int subclass; a JSON true is not a delay-sampling seed.
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             return 400, {
                 "error": "bad-request",
                 "detail": f"field 'seed' must be an integer, got {seed!r}",
@@ -249,17 +274,20 @@ class QueryService:
         self._counter += 1
         request_id = f"r-{self._counter:06d}"
         ticket = self.admission.submit(request_id, tenant, self._now())
-        record = _Request(ticket, query, seed, runtime, exec_mode)
+        named = self._named_queries.get(query)
+        record = _Request(
+            ticket, named.text if named is not None else query, seed, runtime, exec_mode
+        )
         self._requests[request_id] = record
         if ticket.state == SHED:
-            record.finished.set()
             body = ticket.refusal()
             body["error"] = "shed"
             return 429, body
-        task = asyncio.get_running_loop().create_task(self._lifecycle(record))
-        self._lifecycles.add(task)
-        task.add_done_callback(self._lifecycles.discard)
+        # With a free slot the request starts — and a result-cache hit
+        # finishes — before the 202 is written.
         self._pump()
+        if ticket.state == QUEUED and ticket.deadline is not None:
+            self._spawn(self._queued_deadline(record))
         return 202, {
             "request_id": request_id,
             "tenant": tenant,
@@ -277,44 +305,63 @@ class QueryService:
             body["state"] = "error"
             body["detail"] = record.error
         elif ticket.state == DONE:
-            body["answers"] = len(record.answers or [])
+            body["answers"] = len(record.result.answers)
             if ticket.finished_at is not None:
                 body["latency"] = ticket.finished_at - ticket.submitted_at
-            if record.stats and "critical_path" in record.stats:
-                body["critical_path"] = record.stats["critical_path"]
+            if "critical_path" in record.result.stats:
+                body["critical_path"] = record.result.stats["critical_path"]
         return 200, body
 
-    def result(self, request_id: str) -> tuple[int, dict]:
+    def _result_document(self, request_id: str) -> tuple[int, dict, _Result | None]:
+        """Status and document of ``GET …/result`` without the answers,
+        plus the finished result when the status is ``200``."""
         record = self._requests.get(request_id)
         if record is None:
-            return 404, {"error": "not-found", "request_id": request_id}
+            return 404, {"error": "not-found", "request_id": request_id}, None
         ticket = record.ticket
         if record.error is not None:
             return 500, {
                 "error": "execution-failed",
                 "request_id": request_id,
                 "detail": record.error,
-            }
+            }, None
         if ticket.state == SHED:
             body = ticket.refusal()
             body["error"] = "shed"
-            return 429, body
+            return 429, body, None
         if ticket.state == TIMED_OUT:
             body = ticket.refusal()
             body["error"] = "timeout"
-            return 504, body
+            return 504, body, None
         if ticket.state != DONE:
             return 409, {
                 "error": "not-ready",
                 "request_id": request_id,
                 "state": ticket.state,
-            }
+            }, None
+        result = record.result
         return 200, {
             "request_id": request_id,
             "tenant": ticket.tenant,
-            "answers": record.answers,
-            "stats": record.stats,
-        }
+            "stats": result.stats,
+        }, result
+
+    def result(self, request_id: str) -> tuple[int, dict]:
+        status, body, result = self._result_document(request_id)
+        if result is not None:
+            body["answers"] = result.answers
+        return status, body
+
+    def result_json(self, request_id: str) -> tuple[int, dict | bytes]:
+        """:meth:`result` as the HTTP layer sends it: a ``200`` is the
+        encoded document — byte for byte ``json.dumps(result(...)[1],
+        sort_keys=True)`` — spliced around the answers' bytes that were
+        encoded once (``"answers"`` sorts before every other key)."""
+        status, body, result = self._result_document(request_id)
+        if result is None:
+            return status, body
+        rest = json.dumps(body, sort_keys=True).encode()
+        return status, b'{"answers": ' + result.answers_json + b", " + rest[1:]
 
     def trace(self, request_id: str) -> tuple[int, dict]:
         record = self._requests.get(request_id)
@@ -374,33 +421,71 @@ class QueryService:
             self._journal_sink = None
 
     # -- lifecycle -----------------------------------------------------------
+    #
+    # Loop thread: admission transitions, the result-cache lookup and the
+    # completion of a hit.  Executor thread: a miss — the engine run, the
+    # one encoding of its answers, the cache fill.
+
+    def _spawn(self, coroutine) -> None:
+        """Run *coroutine* as a task that :meth:`drain` waits for."""
+        task = asyncio.get_running_loop().create_task(coroutine)
+        self._lifecycles.add(task)
+        task.add_done_callback(self._lifecycles.discard)
 
     def _pump(self) -> None:
-        """Start every startable queued request."""
-        for ticket in self.admission.start_ready(self._now()):
-            record = self._requests[ticket.request_id]
-            record.started.set()
-        # Tickets the controller expired while pumping surface through
-        # their own lifecycle tasks (the queued-phase wait below).
+        """Start every startable queued request.
 
-    async def _lifecycle(self, record: _Request) -> None:
+        A hit is completed inside :meth:`_start`, which frees its slot
+        again — hence the loop.  Tickets the controller expires while
+        pumping answer ``504`` from their state alone.
+        """
+        while started := self.admission.start_ready(self._now()):
+            for ticket in started:
+                self._start(self._requests[ticket.request_id])
+
+    def _start(self, record: _Request) -> None:
+        """A request just got its slot: the one result-cache lookup.
+
+        Looked up now and not at submit — while the request queued, the
+        cache may have been filled or the catalog version moved.  A hit is
+        complete right here: it passed admission like any request (limits,
+        fair share, SLO histograms and the journal see submit → start →
+        done) but costs no task, no executor hand-off and no thread
+        wake-up.  A miss goes to the executor with the key it was looked up
+        under; so does every request when the cache is disabled, which is
+        then never looked up (its miss counter stays 0).
+        """
+        record.started.set()
+        key = None
+        if self._result_cache.enabled:
+            key = self._result_cache_key(record)
+            cached = self._result_cache.get(key)
+            if cached is not None:
+                record.result = cached._replace(
+                    stats=dict(cached.stats, result_cache="hit")
+                )
+                self.admission.complete(record.ticket, self._now())
+                return
+        self._spawn(self._running(record, key))
+
+    async def _queued_deadline(self, record: _Request) -> None:
+        """Queued phase of a request that found no free slot: :meth:`_pump`
+        starts it when one frees; this only enforces its deadline."""
         ticket = record.ticket
-        # Queued phase: wait for a slot, bounded by the deadline.
-        remaining = None
-        if ticket.deadline is not None:
-            remaining = max(0.0, ticket.deadline - self._now())
+        if ticket.state != QUEUED:  # started or expired before this task ran
+            return
+        remaining = max(0.0, ticket.deadline - self._now())
         try:
             await asyncio.wait_for(record.started.wait(), timeout=remaining)
         except asyncio.TimeoutError:
-            # Let the controller time the ticket out (it may have been
-            # started concurrently; then just continue below).
+            # A no-op when the ticket was started concurrently.
             self.admission.expire_queued(max(self._now(), ticket.deadline))
-            if ticket.state != RUNNING:
-                record.finished.set()
-                return
-        # Running phase.
+
+    async def _running(self, record: _Request, key: tuple | None) -> None:
+        """Running phase of a miss, bounded by the deadline."""
+        ticket = record.ticket
         loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(self._executor, self._run_query, record)
+        future = loop.run_in_executor(self._executor, self._execute, record, key)
         remaining = None
         if ticket.deadline is not None:
             remaining = max(0.0, ticket.deadline - self._now())
@@ -408,8 +493,9 @@ class QueryService:
         try:
             outcome = await asyncio.wait_for(asyncio.shield(future), timeout=remaining)
         except asyncio.TimeoutError:
+            # The client reads the timeout refusal from now on; the slot is
+            # released when the worker thread actually finishes.
             timed_out = True
-            record.finished.set()  # client can read the timeout refusal now
             outcome = await asyncio.gather(future, return_exceptions=True)
             outcome = outcome[0]
         except Exception as error:  # execution failed; surface as 500
@@ -419,7 +505,7 @@ class QueryService:
         else:
             # Stored even after a timeout: the work is done anyway, and a
             # late poll of a timed-out request can still see its trace.
-            record.answers, record.stats, record.observation = outcome
+            record.result, record.observation = outcome
         now = self._now()
         if timed_out and ticket.deadline is not None:
             now = max(now, ticket.deadline)
@@ -433,39 +519,45 @@ class QueryService:
                 tenant=ticket.tenant,
                 detail=record.error,
             )
-        record.finished.set()
         self._pump()
 
-    def _result_cache_key(self, query_text: str, record: _Request) -> tuple:
+    def _result_cache_key(self, record: _Request) -> tuple:
         """Cache identity of one execution: canonical (whitespace-folded)
         query text, the lake's catalog version, and every knob that can
         change the answer stream (seed, runtime, exec mode)."""
         return (
-            " ".join(query_text.split()),
+            " ".join(record.query.split()),
             self._lake.catalog_version(),
             record.seed,
             record.runtime or self.config.runtime,
             record.exec or self.config.exec,
         )
 
-    def _run_query(self, record: _Request):
-        """Executor-thread body: borrow an engine, run, serialize."""
-        from ..datasets import BENCHMARK_QUERIES
+    def _execute(self, record: _Request, key: tuple | None):
+        """Executor-thread body of a miss: run, encode the answers once,
+        publish under *key* (``None``: the cache is disabled)."""
+        answers, stats, observation = self._run_query(record)
+        result = _Result(answers, json.dumps(answers, sort_keys=True).encode(), stats)
+        if key is not None:
+            evicted = self._result_cache.put(key, result)
+            if evicted:
+                # Journaled from the executor thread (append is locked).
+                self.journal.append(
+                    "result-cache-evict",
+                    self._now(),
+                    cache="result",
+                    evicted=evicted,
+                    request_id=record.ticket.request_id,
+                )
+            result = result._replace(stats=dict(stats, result_cache="miss"))
+        return result, observation
 
-        named = BENCHMARK_QUERIES.get(record.query)
-        query_text = named.text if named is not None else record.query
-        # A disabled cache is never looked up: its miss counter stays 0.
-        use_cache = self._result_cache.enabled
-        key = self._result_cache_key(query_text, record) if use_cache else None
-        if use_cache:
-            cached = self._result_cache.get(key)
-            if cached is not None:
-                answers, stats = cached
-                return answers, dict(stats, result_cache="hit"), None
+    def _run_query(self, record: _Request):
+        """Borrow an engine, run, serialize (tests swap this for a fake)."""
         engine = self.pool.checkout()
         try:
             stream = engine.execute(
-                query_text,
+                record.query,
                 seed=record.seed,
                 runtime=record.runtime,
                 exec=record.exec,
@@ -476,7 +568,6 @@ class QueryService:
             observation = stream.observation
             if observation is not None:
                 observation.request_id = record.ticket.request_id
-            serialized = serialize_answers(answers)
             stats_doc = {
                 "answers": stats.answers,
                 "execution_time": stats.execution_time,
@@ -520,19 +611,7 @@ class QueryService:
                     queue_wait = max(0.0, ticket.started_at - ticket.submitted_at)
                 report = attribute_run(observation, stats, queue_wait=queue_wait)
                 stats_doc["critical_path"] = report.summary()
-            if use_cache:
-                evicted = self._result_cache.put(key, (serialized, stats_doc))
-                if evicted:
-                    # Journaled from the executor thread (append is locked).
-                    self.journal.append(
-                        "result-cache-evict",
-                        self._now(),
-                        cache="result",
-                        evicted=evicted,
-                        request_id=record.ticket.request_id,
-                    )
-                return serialized, dict(stats_doc, result_cache="miss"), observation
-            return serialized, stats_doc, observation
+            return serialize_answers(answers), stats_doc, observation
         finally:
             self.pool.checkin(engine)
 
@@ -584,13 +663,16 @@ class ServiceServer:
             status, body = 500, {"error": "internal", "detail": str(error)}
         try:
             # A str body is pre-rendered plain text (the /metrics
-            # exposition); anything else is a JSON document.
+            # exposition), bytes are an already encoded JSON document (a
+            # finished result); anything else is a JSON document to encode.
+            content_type = "application/json"
             if isinstance(body, str):
                 payload = body.encode("utf-8")
                 content_type = "text/plain; version=0.0.4; charset=utf-8"
+            elif isinstance(body, bytes):
+                payload = body
             else:
                 payload = json.dumps(body, sort_keys=True).encode()
-                content_type = "application/json"
             reason = _REASONS.get(status, "Unknown")
             head = (
                 f"HTTP/1.1 {status} {reason}\r\n"
@@ -612,18 +694,22 @@ class ServiceServer:
 
     async def _handle_one(
         self, reader: asyncio.StreamReader
-    ) -> tuple[int, dict | str]:
-        request_line = await reader.readline()
-        parts = request_line.decode("latin-1").split()
+    ) -> tuple[int, dict | str | bytes]:
+        # The whole head in one read, bounded by the stream limit.
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError:
+            return 431, {"error": "too-large", "detail": "request head too large"}
+        except asyncio.IncompleteReadError:
+            return 400, {"error": "bad-request", "detail": "truncated request head"}
+        request_line, *header_lines = head[:-4].decode("latin-1").split("\r\n")
+        parts = request_line.split()
         if len(parts) < 2:
             return 400, {"error": "bad-request", "detail": "malformed request line"}
         method, path = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, __, value = line.decode("latin-1").partition(":")
+        for line in header_lines:
+            name, __, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         body = b""
         length = headers.get("content-length")
@@ -631,18 +717,23 @@ class ServiceServer:
             try:
                 size = int(length)
             except ValueError:
+                size = -1  # refused like a negative length
+            if size < 0:
                 return 400, {"error": "bad-request", "detail": "bad Content-Length"}
             if size > MAX_BODY_BYTES:
                 return 413, {
                     "error": "too-large",
                     "detail": f"body exceeds {MAX_BODY_BYTES} bytes",
                 }
-            body = await reader.readexactly(size)
+            try:
+                body = await reader.readexactly(size)
+            except asyncio.IncompleteReadError:
+                return 400, {"error": "bad-request", "detail": "truncated body"}
         return await self._route(method, path, body)
 
     async def _route(
         self, method: str, path: str, body: bytes
-    ) -> tuple[int, dict | str]:
+    ) -> tuple[int, dict | str | bytes]:
         service = self.service
         if path == "/healthz":
             if method != "GET":
@@ -669,7 +760,7 @@ class ServiceServer:
                 return 405, {"error": "method-not-allowed"}
             rest = path[len("/queries/"):]
             if rest.endswith("/result"):
-                return service.result(rest[: -len("/result")])
+                return service.result_json(rest[: -len("/result")])
             if rest.endswith("/trace"):
                 return service.trace(rest[: -len("/trace")])
             if "/" not in rest:
