@@ -10,54 +10,52 @@ out of the LRU.
 
 from __future__ import annotations
 
+import re
 from typing import Hashable
 
-_WHITESPACE = " \t\r\n\f\v"
+# The two fragments of SPARQL text, besides quoted literals, in which
+# whitespace and ``#`` are not separators.  :mod:`repro.sparql.lexer` builds
+# its tokens from the same two, so a key and the tokenizer cannot disagree
+# about where an IRI or a comment ends.  (They live here, not in the lexer,
+# because this package imports nothing from the rest of ``repro`` while
+# ``repro.sparql`` imports this package.)
+#
+# A comment must reach its newline: were it allowed to stop short, a pattern
+# that fails after one would backtrack into it and find tokens in its text.
+COMMENT = r"\#[^\n]*(?![^\n])"
+IRIREF = r"""<[^ \t\r\n"{}|^`\\<>]*>"""
+
+# Blanks, then comments each followed by blanks: one way to match any run.
+_SEPARATORS = rf"[ \t\r\n\f\v]*(?:{COMMENT}[ \t\r\n\f\v]*)*"
+_LEADING = re.compile(_SEPARATORS)
+# A run of text between separators, and the separators after it.  The quoted
+# literal here is a deliberate superset of the tokenizer's: any character
+# may follow a backslash, and a literal nobody closes runs to the end of the
+# text.  Every literal the tokenizer accepts is kept verbatim, and text that
+# will not tokenize still keys apart from every text that does.  Some
+# alternative matches at every non-separator, so a chunk once begun cannot
+# fail and the nested ``+`` never re-splits a run: the scan is linear.
+_CHUNK = re.compile(
+    rf"""((?: [^ \t\r\n\f\v\#"'<]+
+           | {IRIREF} | <
+           | "(?:[^"\\]|\\[\s\S])*(?:"|\\?\Z)
+           | '(?:[^'\\]|\\[\s\S])*(?:'|\\?\Z)
+         )+){_SEPARATORS}""",
+    re.VERBOSE,
+)
 
 
 def canonicalize_query(text: str) -> str:
     """Normalize query text for cache keying.
 
-    Collapses runs of whitespace to one space and strips ``#`` comments —
-    but only *outside* quoted literals, so queries differing inside a
-    string constant never share a key.  Purely lexical: two differently
-    written but semantically equal queries may still key separately, which
-    costs a duplicate entry, never a wrong answer.
+    Collapses every run of whitespace and ``#`` comments to one space and
+    strips it at both ends — but only *outside* quoted literals and
+    ``<IRI>`` references, which are kept verbatim, so queries differing
+    inside a string constant or an IRI never share a key.  Purely lexical:
+    two differently written but semantically equal queries may still key
+    separately, which costs a duplicate entry, never a wrong answer.
     """
-    out: list[str] = []
-    quote: str | None = None
-    pending_space = False
-    i = 0
-    n = len(text)
-    while i < n:
-        char = text[i]
-        if quote is not None:
-            out.append(char)
-            if char == "\\" and i + 1 < n:
-                out.append(text[i + 1])
-                i += 2
-                continue
-            if char == quote:
-                quote = None
-            i += 1
-            continue
-        if char in _WHITESPACE:
-            pending_space = True
-            i += 1
-            continue
-        if char == "#":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            pending_space = True
-            continue
-        if pending_space and out:
-            out.append(" ")
-        pending_space = False
-        if char in "\"'":
-            quote = char
-        out.append(char)
-        i += 1
-    return "".join(out)
+    return " ".join(_CHUNK.findall(text, _LEADING.match(text).end()))
 
 
 def sql_result_key(source_id: str, sql: str, data_version: Hashable) -> tuple:

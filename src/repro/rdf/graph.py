@@ -141,7 +141,19 @@ class Graph:
         predicate: PatternTerm | None = None,
         object: PatternTerm | None = None,
     ) -> int:
-        """Count matches of a pattern without materializing triples."""
+        """Count matches of a pattern without materializing triples.
+
+        With the subject open and a ground predicate — the shapes BGP
+        ordering asks about, once per pattern of every evaluation — the
+        count is read off the POS bucket sizes.
+        """
+        if (subject is None or isinstance(subject, Variable)) and isinstance(predicate, IRI):
+            by_object = self._pos.get(predicate)
+            if not by_object:
+                return 0
+            if object is None or isinstance(object, Variable):
+                return sum(map(len, by_object.values()))
+            return len(by_object.get(object, ()))
         return sum(1 for __ in self.triples(subject, predicate, object))
 
     def subjects(self, predicate: IRI | None = None, object: Term | None = None) -> Iterator[Term]:

@@ -62,7 +62,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple
 
-from ..cache import LRUCache
+from ..cache import LRUCache, canonicalize_query
 from ..federation.answers import EXEC_MODES, Solution
 from ..obs.journal import EventJournal
 from ..obs.promexport import render_exposition
@@ -522,11 +522,12 @@ class QueryService:
         self._pump()
 
     def _result_cache_key(self, record: _Request) -> tuple:
-        """Cache identity of one execution: canonical (whitespace-folded)
-        query text, the lake's catalog version, and every knob that can
-        change the answer stream (seed, runtime, exec mode)."""
+        """Cache identity of one execution: canonical query text (the plan
+        cache's ``canonicalize_query``), the lake's catalog version, and
+        every knob that can change the answer stream (seed, runtime, exec
+        mode)."""
         return (
-            " ".join(record.query.split()),
+            canonicalize_query(record.query),
             self._lake.catalog_version(),
             record.seed,
             record.runtime or self.config.runtime,

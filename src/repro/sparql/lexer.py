@@ -1,35 +1,27 @@
-"""Tokenizer for the SPARQL subset."""
+"""Tokenizer for the SPARQL subset: one compiled master pattern.
+
+Every token kind is a named alternative of :data:`_TOKEN`; the scanner is
+``_TOKEN.match(text, pos)`` in a loop, so the regex engine does the
+per-character work and a position where no alternative matches is a
+:class:`SPARQLParseError`, never a silently skipped gap.  ``IRIREF`` and
+``COMMENT`` come from :mod:`repro.cache.keys`, which folds query text for
+cache keys with the same two: the tokenizer and the canonicalizer cannot
+disagree about where an IRI or a comment ends.  Quoted literals are spelled
+out in each module — the key grammar's is a deliberate superset of the one
+here (see there).
+
+No quantifier in :data:`_TOKEN` nests inside another over the same
+characters, so a position where nothing matches is found in time linear in
+the text, however long the run of blanks before it.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
+from ..cache.keys import COMMENT, IRIREF
 from ..exceptions import SPARQLParseError
-
-# Multi-character punctuation first so the scanner is greedy.
-_PUNCTUATION = (
-    "^^",
-    "&&",
-    "||",
-    "!=",
-    "<=",
-    ">=",
-    "{",
-    "}",
-    "(",
-    ")",
-    ".",
-    ";",
-    ",",
-    "=",
-    "<",
-    ">",
-    "!",
-    "+",
-    "-",
-    "*",
-    "/",
-)
 
 KEYWORDS = frozenset(
     {
@@ -55,11 +47,12 @@ KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+# A named tuple, not a frozen dataclass: as immutable and hashable, but built
+# without a ``object.__setattr__`` per field — the scanner makes one per token.
+class Token(NamedTuple):
     """A lexical token with source position for error reporting."""
 
-    kind: str  # IRIREF | PNAME | VAR | STRING | INTEGER | DECIMAL | KEYWORD | NAME | PUNCT | LANGTAG | EOF
+    kind: str  # IRIREF | PNAME | VAR | STRING | INTEGER | DECIMAL | KEYWORD | NAME | PUNCT | LANGTAG | BNODE | EOF
     value: str
     line: int
     column: int
@@ -68,199 +61,103 @@ class Token:
         return f"Token({self.kind}, {self.value!r}, {self.line}:{self.column})"
 
 
-class Lexer:
-    """Hand-rolled scanner producing :class:`Token` objects."""
+_UNESCAPE = {"t": "\t", "n": "\n", "r": "\r", "\\": "\\", '"': '"', "'": "'"}
+_ESCAPE = re.compile(r"\\(.)")
+# A literal from its opening quote up to, not including, the closing one.
+_DOUBLE = r'''"(?:[^"\\]|\\[tnr\\"'])*'''
+_SINGLE = r"""'(?:[^'\\]|\\[tnr\\"'])*"""
+_UNCLOSED = re.compile(f"{_DOUBLE}|{_SINGLE}")
+# Blanks, then comments each followed by blanks: exactly one way to match any
+# run of separators.  (``(?:blank+|comment)*`` has 2**(n-1) ways to split n
+# blanks and tries them all before the master pattern may fail.)
+_SKIPPED = re.compile(rf"[ \t\r\n]*(?:{COMMENT}[ \t\r\n]*)*")
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+# Group 1 is the skipped whitespace and comments, so its end is where the
+# token starts; ``lastgroup`` names the alternative that matched and holds
+# the token's value.  Alternatives are tried in order: IRIREF before the
+# ``<`` of PUNCT, DECIMAL before INTEGER, PNAME before NAME.  ``\w`` is
+# ``str.isalnum() or "_"`` and ``[^\W\d_]`` a letter; a number takes only
+# digits that ``int()`` and ``float()`` accept.
+_TOKEN = re.compile(
+    rf"""({_SKIPPED.pattern})
+    (?: (?P<IRIREF>{IRIREF})
+      | [?$](?P<VAR>\w+)
+      | (?P<STRING>{_DOUBLE}"|{_SINGLE}')
+      | @(?P<LANGTAG>(?:[^\W_]|-)+)
+      | (?P<DECIMAL>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+))
+      | (?P<INTEGER>\d+)
+      | _:(?P<BNODE>[\w.-]+)
+      | (?P<PUNCT>\^\^|&&|\|\||[!<>]=?|[{{}}().;,=+\-*/])
+      | (?P<PNAME>[^\W\d_][\w-]*:[\w-]*(?:\.+[\w-]+)*)   # no trailing '.'
+      | (?P<NAME>[^\W\d_][\w-]*)
+      | (?P<EOF>\Z)
+    )""",
+    re.VERBOSE,
+)
 
-    def error(self, message: str) -> SPARQLParseError:
-        return SPARQLParseError(message, line=self.line, column=self.column)
 
-    def _advance(self, count: int = 1) -> None:
-        for __ in range(count):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
+def _error(message: str, text: str, offset: int) -> SPARQLParseError:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SPARQLParseError(
+        message, line=text.count("\n", 0, offset) + 1, column=offset - line_start + 1
+    )
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < len(self.text) else ""
 
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.text):
-            char = self.text[self.pos]
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            else:
-                return
-
-    def tokens(self) -> list[Token]:
-        """Scan the whole input; always ends with an EOF token."""
-        result: list[Token] = []
-        while True:
-            token = self._next_token()
-            result.append(token)
-            if token.kind == "EOF":
-                return result
-
-    def _next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        if self.pos >= len(self.text):
-            return Token("EOF", "", self.line, self.column)
-        line, column = self.line, self.column
-        char = self._peek()
-
-        if char == "<" and self._looks_like_iri():
-            return self._read_iri(line, column)
-        if char in "?$":
-            return self._read_variable(line, column)
-        if char in "\"'":
-            return self._read_string(line, column)
-        if char == "@":
-            return self._read_langtag(line, column)
-        if char.isdigit():
-            return self._read_number(line, column)
-        if char == "_" and self._peek(1) == ":":
-            return self._read_bnode(line, column)
-        for punct in _PUNCTUATION:
-            if self.text.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token("PUNCT", punct, line, column)
-        if char.isalpha():
-            return self._read_word(line, column)
-        raise self.error(f"unexpected character {char!r}")
-
-    def _looks_like_iri(self) -> bool:
-        """Disambiguate ``<`` as IRI-open vs less-than.
-
-        An IRIREF contains no whitespace and closes with ``>`` before any
-        character illegal in IRIs appears.
-        """
-        index = self.pos + 1
-        while index < len(self.text):
-            char = self.text[index]
-            if char == ">":
-                return True
-            if char in ' \t\r\n"{}|^`\\' or char == "<":
-                return False
-            index += 1
-        return False
-
-    def _read_iri(self, line: int, column: int) -> Token:
-        end = self.text.find(">", self.pos + 1)
-        if end < 0:
-            raise self.error("unterminated IRI")
-        value = self.text[self.pos + 1:end]
-        self._advance(end - self.pos + 1)
-        return Token("IRIREF", value, line, column)
-
-    def _read_variable(self, line: int, column: int) -> Token:
-        self._advance()  # ? or $
-        start = self.pos
-        while self.pos < len(self.text) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        if self.pos == start:
-            raise self.error("empty variable name")
-        return Token("VAR", self.text[start:self.pos], line, column)
-
-    def _read_string(self, line: int, column: int) -> Token:
-        quote = self._peek()
-        self._advance()
-        parts: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.error("unterminated string literal")
-            char = self._peek()
-            if char == quote:
-                self._advance()
-                return Token("STRING", "".join(parts), line, column)
-            if char == "\\":
-                self._advance()
-                escape = self._peek()
-                mapping = {"t": "\t", "n": "\n", "r": "\r", "\\": "\\", '"': '"', "'": "'"}
-                if escape not in mapping:
-                    raise self.error(f"unknown string escape \\{escape}")
-                parts.append(mapping[escape])
-                self._advance()
-            else:
-                parts.append(char)
-                self._advance()
-
-    def _read_langtag(self, line: int, column: int) -> Token:
-        self._advance()  # @
-        start = self.pos
-        while self.pos < len(self.text) and (self._peek().isalnum() or self._peek() == "-"):
-            self._advance()
-        if self.pos == start:
-            raise self.error("empty language tag")
-        return Token("LANGTAG", self.text[start:self.pos], line, column)
-
-    def _read_number(self, line: int, column: int) -> Token:
-        start = self.pos
-        if self._peek() in "+-":
-            self._advance()
-        saw_dot = False
-        saw_exp = False
-        while self.pos < len(self.text):
-            char = self._peek()
-            if char.isdigit():
-                self._advance()
-            elif char == "." and not saw_dot and not saw_exp and self._peek(1).isdigit():
-                saw_dot = True
-                self._advance()
-            elif char in "eE" and not saw_exp and (self._peek(1).isdigit() or self._peek(1) in "+-"):
-                saw_exp = True
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-            else:
-                break
-        value = self.text[start:self.pos]
-        kind = "DECIMAL" if (saw_dot or saw_exp) else "INTEGER"
-        return Token(kind, value, line, column)
-
-    def _read_bnode(self, line: int, column: int) -> Token:
-        self._advance(2)  # _:
-        start = self.pos
-        while self.pos < len(self.text) and (self._peek().isalnum() or self._peek() in "-_."):
-            self._advance()
-        if self.pos == start:
-            raise self.error("empty blank node label")
-        return Token("BNODE", self.text[start:self.pos], line, column)
-
-    def _read_word(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self.pos < len(self.text) and (self._peek().isalnum() or self._peek() in "_-"):
-            self._advance()
-        word = self.text[start:self.pos]
-        # A prefixed name: word followed by ':' (possibly empty prefix handled above).
-        if self._peek() == ":":
-            self._advance()
-            local_start = self.pos
-            while self.pos < len(self.text) and (self._peek().isalnum() or self._peek() in "_-."):
-                self._advance()
-            local = self.text[local_start:self.pos]
-            # PN_LOCAL must not end with '.'
-            while local.endswith("."):
-                local = local[:-1]
-                self.pos -= 1
-                self.column -= 1
-            return Token("PNAME", f"{word}:{local}", line, column)
-        if word.upper() in KEYWORDS:
-            return Token("KEYWORD", word.upper(), line, column)
-        return Token("NAME", word, line, column)
+def _reject(text: str, start: int) -> SPARQLParseError:
+    """Why no token starts at *start*, positioned where the fault is."""
+    char = text[start]
+    if char in "?$":
+        return _error("empty variable name", text, start + 1)
+    if char == "@":
+        return _error("empty language tag", text, start + 1)
+    if text.startswith("_:", start):
+        return _error("empty blank node label", text, start + 2)
+    if char in "\"'":
+        stop = _UNCLOSED.match(text, start).end()
+        if stop == len(text):
+            return _error("unterminated string literal", text, stop)
+        # The body stopped at a backslash it could not pair with an escape.
+        return _error(f"unknown string escape \\{text[stop + 1:stop + 2]}", text, stop + 1)
+    return _error(f"unexpected character {char!r}", text, start)
 
 
 def tokenize(text: str) -> list[Token]:
-    """Tokenize *text*; raises :class:`SPARQLParseError` on malformed input."""
-    return Lexer(text).tokens()
+    """Tokenize *text*; raises :class:`SPARQLParseError` on malformed input.
+
+    The result always ends with an ``EOF`` token.
+    """
+    tokens: list[Token] = []
+    match = _TOKEN.match
+    find = text.find
+    # Lines are counted from newline offsets as the scan passes them.
+    line, line_start = 1, 0
+    newline = find("\n")
+    pos = 0
+    while True:
+        found = match(text, pos)
+        if found is None:
+            raise _reject(text, _SKIPPED.match(text, pos).end())
+        kind = found.lastgroup
+        value = found[kind]
+        start = found.end(1)
+        pos = found.end()
+        while 0 <= newline < start:
+            line += 1
+            line_start = newline + 1
+            newline = find("\n", line_start)
+        if kind == "NAME" or kind == "PNAME":
+            # ``[^\W\d_]`` also admits number-like code points that are not
+            # letters (``²``, ``½``); no token starts with one.
+            if not value[0].isalpha():
+                raise _reject(text, start)
+            if kind == "NAME" and value.upper() in KEYWORDS:
+                kind, value = "KEYWORD", value.upper()
+        elif kind == "IRIREF":
+            value = value[1:-1]
+        elif kind == "STRING":
+            value = value[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(lambda escape: _UNESCAPE[escape[1]], value)
+        tokens.append(Token(kind, value, line, start - line_start + 1))
+        if kind == "EOF":
+            return tokens

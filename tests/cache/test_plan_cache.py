@@ -31,6 +31,24 @@ class TestPlanReuse:
         engine.plan("  " + reformatted)
         assert engine.cache_stats()["plans"].hits == 1
 
+    def test_queries_differing_after_a_hash_in_an_iri_never_share_a_plan(
+        self, small_lslod_lake
+    ):
+        # Regression: the canonicalizer took the `#` of `vocab#compoundName`
+        # for a comment, both texts keyed as `... <http://lslod.repro/kegg/vocab`,
+        # and the second was answered by the first's cached plan.
+        text = "SELECT ?c ?v WHERE { ?c <http://lslod.repro/kegg/vocab#%s> ?v } LIMIT 2"
+        warm = FederatedEngine(small_lslod_lake)
+        uncached = FederatedEngine(small_lslod_lake, enable_plan_cache=False)
+        for name in ("compoundName", "formula"):
+            answers, stats = warm.run(text % name, seed=1)
+            expected, __ = uncached.run(text % name, seed=1)
+            assert stats.plan_cache_hit is False
+            assert answers == expected and len(answers) == 2
+        names, formulas = (warm.run(text % name, seed=1) for name in ("compoundName", "formula"))
+        assert names[1].plan_cache_hit and formulas[1].plan_cache_hit
+        assert names[0] != formulas[0]
+
     def test_parsed_queries_bypass_the_cache(self, tiny_lake):
         from repro.sparql.parser import parse_query
 

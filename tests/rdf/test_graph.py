@@ -115,6 +115,26 @@ class TestAccessors:
         graph = build_graph()
         assert graph.count(None, P1, None) == 3
 
+    def test_count_equals_enumeration_for_every_shape(self):
+        # `count` reads index bucket sizes where it can; every boundness
+        # shape, with `None` and with a Variable as the wildcard, must agree
+        # with enumerating the matches.
+        graph = build_graph()
+        graph.add(Triple(S2, P2, O1))
+        graph.remove(Triple(S1, P2, O2))  # leaves empty P2/O2 and S1/P2 buckets
+        wild = Variable("x")
+        for subject in (None, wild, S1, S2, IRI("http://ex/unknown")):
+            for predicate in (None, wild, P1, P2, O1):  # O1: a non-IRI predicate
+                for obj in (None, wild, O1, O2, S1):
+                    expected = sum(1 for __ in graph.triples(subject, predicate, obj))
+                    assert graph.count(subject, predicate, obj) == expected, (
+                        subject,
+                        predicate,
+                        obj,
+                    )
+        assert graph.count(None, P2, O2) == 0
+        assert graph.count(None, P2, None) == 1
+
     def test_subjects_distinct(self):
         graph = build_graph()
         assert set(graph.subjects(P1, O1)) == {S1, S2}

@@ -477,6 +477,43 @@ def test_result_cache_keys_on_seed_and_canonical_text(small_lslod_lake):
     assert reseeded["stats"]["result_cache"] == "miss"
 
 
+def test_result_cache_key_keeps_string_literals_verbatim(small_lslod_lake):
+    # Regression: the key folded whitespace with `" ".join(text.split())`,
+    # inside literals too, so `"a  b"` was answered from `"a b"`'s entry.
+    config = ServiceConfig(port=0, workers=1)
+    template = 'SELECT ?d WHERE { ?d <http://ex/v#name> ?n . FILTER(?n = "%s") }'
+    executed = []
+
+    def run_query(record):
+        executed.append(record.query)
+        return [{"d": f'"{len(executed)}"'}], {"answers": 1}, None
+
+    async def scenario():
+        async with ServiceHarness(small_lslod_lake, config, run_query=run_query) as harness:
+            results = []
+            for text in (
+                template % "a  b",
+                template % "a b",
+                # Reformatted outside the literal (and commented): the first entry.
+                "  " + (template % "a  b").replace(" . ", "\n.  # note\n\t"),
+            ):
+                results.append(
+                    await submit_and_fetch(
+                        harness.port, {"query": text, "tenant": "acme", "seed": RUN_SEED}
+                    )
+                )
+            return results
+
+    wide, narrow, reformatted = run(scenario())
+    assert [r["stats"]["result_cache"] for r in (wide, narrow, reformatted)] == [
+        "miss",
+        "miss",
+        "hit",
+    ]
+    assert executed == [template % "a  b", template % "a b"]
+    assert reformatted["answers"] == wide["answers"] != narrow["answers"]
+
+
 def test_result_cache_disabled_by_size_zero_and_observe(small_lslod_lake):
     async def scenario(config):
         async with ServiceHarness(small_lslod_lake, config) as harness:
