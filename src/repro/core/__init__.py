@@ -18,8 +18,6 @@ from .heuristics import (
     push_down_joins,
 )
 from .planner import FederatedPlan, FederatedPlanner
-# Imported from their new home so `import repro.core` stays warning-free;
-# only the legacy `repro.core.profiler` module itself is deprecated.
 from ..obs.instrument import profile_plan
 from ..obs.profile import OperatorProfile, ProfileReport
 from .policy import DecompositionKind, FilterPlacement, JoinStrategy, PlanPolicy

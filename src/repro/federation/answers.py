@@ -36,22 +36,6 @@ DEFAULT_BATCH_SIZE = 256
 #: How many network-delay samples a batch-mode context draws per RNG refill.
 _DELAY_BLOCK = 512
 
-#: Interned sorted variable-name tuples, keyed by the (insertion-ordered)
-#: names of a solution.  Query executions see a handful of distinct
-#: solution shapes but millions of solutions; sharing one sorted tuple per
-#: shape removes a per-solution sort from every Distinct/key hot loop.
-_NAME_TUPLES: dict[tuple[str, ...], tuple[str, ...]] = {}
-
-
-def interned_names(solution: Solution) -> tuple[str, ...]:
-    """The solution's variable names as one shared, sorted tuple."""
-    key = tuple(solution)
-    cached = _NAME_TUPLES.get(key)
-    if cached is None:
-        cached = tuple(sorted(key))
-        _NAME_TUPLES[key] = cached
-    return cached
-
 
 class ChargeBatch:
     """Accumulates engine charges and applies them to the clock in blocks.

@@ -32,21 +32,8 @@ __all__ = [
     "Handle",
     "single_solution_batch",
     "chunk_columns",
-    "merge_plan",
-    "handle_identity",
+    "MergePlan",
 ]
-
-#: One shared ``name -> column position`` map per distinct shape.
-_NAME_INDEXES: dict[tuple[str, ...], dict[str, int]] = {}
-
-
-def name_index(names: tuple[str, ...]) -> dict[str, int]:
-    """The shared column-position map of one batch shape."""
-    index = _NAME_INDEXES.get(names)
-    if index is None:
-        index = {name: position for position, name in enumerate(names)}
-        _NAME_INDEXES[names] = index
-    return index
 
 
 class SolutionBatch:
@@ -63,7 +50,7 @@ class SolutionBatch:
     def __init__(self, names: tuple[str, ...], columns: list[list[Term | None]]):
         self.names = names
         self.columns = columns
-        self.index = name_index(names)
+        self.index = {name: position for position, name in enumerate(names)}
         self.pairs = list(zip(names, columns))
         self.sorted_pairs = sorted(self.pairs, key=lambda pair: pair[0])
 
@@ -266,7 +253,7 @@ class MergePlan:
     __slots__ = ("names", "left_width", "shared", "right_only")
 
     def __init__(self, left_names: tuple[str, ...], right_names: tuple[str, ...]):
-        right_index = name_index(right_names)
+        right_index = {name: position for position, name in enumerate(right_names)}
         self.left_width = len(left_names)
         self.shared = [
             (lpos, right_index[name])
@@ -295,36 +282,3 @@ class MergePlan:
         for rpos in self.right_only:
             out.append(rcols[rpos][ri])
         return out
-
-
-_MERGE_PLANS: dict[tuple[tuple[str, ...], tuple[str, ...]], MergePlan] = {}
-
-
-def merge_plan(left_names: tuple[str, ...], right_names: tuple[str, ...]) -> MergePlan:
-    key = (left_names, right_names)
-    plan = _MERGE_PLANS.get(key)
-    if plan is None:
-        plan = MergePlan(left_names, right_names)
-        _MERGE_PLANS[key] = plan
-    return plan
-
-
-def handle_identity(
-    batch: SolutionBatch, idx: int, n3_cache: dict[Term, str]
-) -> tuple[tuple[str, str], ...]:
-    """The Distinct/identity key of one row.
-
-    Bit-compatible with ``operators.solution_identity``: sorted bound names
-    paired with the term's N3 form (memoized per term — terms are frozen
-    value objects, so the cache is exact).
-    """
-    out = []
-    for name, column in batch.sorted_pairs:
-        value = column[idx]
-        if value is None:
-            continue
-        n3 = n3_cache.get(value)
-        if n3 is None:
-            n3 = n3_cache[value] = value.n3()
-        out.append((name, n3))
-    return tuple(out)

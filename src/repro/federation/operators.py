@@ -10,28 +10,95 @@ Every per-tuple action charges engine time to the shared clock through the
 :class:`~repro.federation.answers.RunContext`, which is what makes
 engine-level work (joins, filters) visible in the virtual timeline — the
 quantity the paper's heuristics trade against source work and transfer.
+
+Each operator has one :class:`Kernel` (its per-execution state and charges)
+next to it: ``execute`` pulls it, :mod:`repro.runtime.nodes` pushes it, and
+the columnar ``execute_batch`` loops re-implement its charge sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ..cache.memos import join_streams
 from ..rdf.terms import Term
 from ..network.clock import VirtualClock
 from ..sparql.algebra import Filter, OrderCondition
-from ..sparql.expressions import ExpressionError, compile_holds, evaluate, holds
-from .answers import ChargeBatch, RunContext, Solution, interned_names
+from ..sparql.expressions import ExpressionError, compile_holds, evaluate
+from .answers import ChargeBatch, RunContext, Solution
 from .batch import (
     BatchBuilder,
     Handle,
+    MergePlan,
     RowView,
     SolutionBatch,
-    handle_identity,
-    merge_plan,
     single_solution_batch,
 )
+
+
+class Done(Exception):
+    """Raised by a kernel step that ends the run (LIMIT's over-limit arrival):
+    the pull driver returns, a push cascade unwinds to the scheduler, and
+    every lazy step in flight is closed where it stands."""
+
+
+class Kernel:
+    """One operator's per-execution state and charging; this base passes through.
+
+    ``step(slot, solution)`` consumes one solution arriving on input *slot*
+    (0 for unary operators, 0/1 for join sides) and returns the outputs it
+    releases; ``finish()`` returns what is released once every input ended.
+    A driver only decides which input to take next and when to stop — the
+    pull loop of :func:`_drive`, event delivery in :mod:`repro.runtime.nodes`
+    — so both run the same state machine and the same float adds.
+
+    Outputs are lazy: the charges that precede the k-th output are applied
+    when the k-th output is taken, never earlier.  A step that can release
+    several outputs returns a generator; one that releases at most one has
+    charged everything when it returns a tuple.  A driver that stops early
+    (:class:`Done`, or its consumer walked away) drops the kernel without
+    ``finish``: charges pending in it are never applied (DESIGN.md §5).
+    """
+
+    def __init__(self, context: RunContext, op: "FedOperator"):
+        self.op = op
+        self.charge = context.charge_engine
+        self.cost = context.cost_model
+
+    def step(self, slot: int, solution: Solution) -> Iterable[Solution]:
+        return (solution,)
+
+    def finish(self) -> Iterable[Solution]:
+        return ()
+
+
+def _drive(kernel: Kernel, streams: list[Iterator]) -> Iterator:
+    """The pull driver: take *streams* round-robin, yield what *kernel* releases.
+
+    Each pass pulls one item from every stream that has not ended, in slot
+    order — ANAPSID's alternation for the two sides of a join, plain
+    iteration for one input.  Solutions or handles: the driver never looks.
+    """
+    step = kernel.step
+    turns = [(slot, iter(stream)) for slot, stream in enumerate(streams)]
+    try:
+        while turns:
+            for turn in turns:
+                for item in turn[1]:  # take one item (else: the stream ended)
+                    yield from step(turn[0], item)
+                    break
+                else:
+                    turns = [other for other in turns if other is not turn]
+    except Done:
+        return
+    yield from kernel.finish()
+
+
+def _adapt(solutions: Iterable[Solution]) -> Iterator[Handle]:
+    """A row stream as single-row batches (at row-mode speed)."""
+    for solution in solutions:
+        yield single_solution_batch(solution)
 
 
 class FedOperator:
@@ -51,8 +118,19 @@ class FedOperator:
     #: are skipped.  Planning metadata only — never read during execution.
     stats_signature: tuple | None = None
 
+    #: The :class:`Kernel` subclass that runs this operator.
+    kernel_type: type[Kernel] | None = None
+
+    def kernel(self, context: RunContext) -> Kernel:
+        """A fresh kernel for one execution under *context*."""
+        if self.kernel_type is None:
+            raise TypeError(f"operator {type(self).__name__} has no kernel")
+        return self.kernel_type(context, self)
+
     def execute(self, context: RunContext) -> Iterator[Solution]:
-        raise NotImplementedError
+        """Row execution: the pull driver over this operator's kernel."""
+        streams = [child.execute(context) for child in self.children()]
+        return _drive(self.kernel(context), streams)
 
     def execute_batch(self, context: RunContext) -> Iterator[Handle]:
         """Columnar execution: stream handles into shared solution batches.
@@ -62,8 +140,7 @@ class FedOperator:
         batch-mode neighbours (at row-mode speed).  Charging is whatever
         ``execute`` charges — identical by construction.
         """
-        for solution in self.execute(context):
-            yield single_solution_batch(solution)
+        return _adapt(self.execute(context))
 
     def children(self) -> list["FedOperator"]:
         return []
@@ -119,53 +196,35 @@ class ServiceNode(FedOperator):
     #: the rendered native query they make :meth:`data_signature` sound.
     data_version_provider: Callable[[], object] | None = None
 
-    def _filtered(self, context: RunContext, stream: Iterator[Solution]) -> Iterator[Solution]:
-        cost = context.cost_model
-        filters = self.engine_filters
-        tests = [compile_holds(f.expression) for f in filters]
-        for solution in stream:
-            if filters:
-                context.charge_engine(cost.engine_filter_eval * len(filters))
-                if not all(test(solution) for test in tests):
-                    continue
-            yield solution
+    def kernel(self, context: RunContext) -> Kernel:
+        """The engine-side filters of this sub-query (pass-through when none)."""
+        if not self.engine_filters:
+            return Kernel(context, self)
+        return _FilterKernel(context, self, self.engine_filters)
 
-    def _filtered_batch(
-        self, context: RunContext, stream: Iterator[Handle]
-    ) -> Iterator[Handle]:
-        filters = self.engine_filters
-        if not filters:
-            yield from stream
-            return
-        charge = context.cost_model.engine_filter_eval * len(filters)
-        positive = charge > 0
-        clock_sleep = context.clock.sleep
-        stats = context.stats
-        tests = [compile_holds(f.expression) for f in filters]
-        for handle in stream:
-            if positive:
-                clock_sleep(charge)
-                stats.engine_cost += charge
-            view = RowView(handle[0], handle[1])
-            if all(test(view) for test in tests):
-                yield handle
+    def _filtered(self, context: RunContext, stream: Iterator) -> Iterator[Solution]:
+        if not self.engine_filters:
+            return stream
+        return _drive(self.kernel(context), [stream])
 
     def execute(self, context: RunContext) -> Iterator[Solution]:
         yield from self._filtered(context, self.runner(context))
 
-    def _adapted(self, context: RunContext) -> Iterator[Handle]:
-        for solution in self.execute(context):
-            yield single_solution_batch(solution)
-
     def execute_batch(self, context: RunContext) -> Iterator[Handle]:
+        return self._handles(context, self.batch_runner, self.execute)
+
+    def _handles(
+        self, context: RunContext, batch_runner, rows, *restriction
+    ) -> Iterator[Handle]:
         # Not a generator function: the unfiltered fast path hands the
         # runner's iterator straight to the consumer, so per-row pulls skip
         # two delegation frames on the hot path.
-        if self.batch_runner is None:
-            return self._adapted(context)
+        if batch_runner is None:
+            return _adapt(rows(context, *restriction))
+        stream = batch_runner(context, *restriction)
         if not self.engine_filters:
-            return self.batch_runner(context)
-        return self._filtered_batch(context, self.batch_runner(context))
+            return stream
+        return _filter_handles(self.kernel(context), context, stream)
 
     @property
     def supports_restriction(self) -> bool:
@@ -181,24 +240,12 @@ class ServiceNode(FedOperator):
             context, self.restricted_runner(context, variable, terms)
         )
 
-    def _adapted_restricted(
-        self, context: RunContext, variable: str, terms: list
-    ) -> Iterator[Handle]:
-        for solution in self.execute_restricted(context, variable, terms):
-            yield single_solution_batch(solution)
-
     def execute_restricted_batch(
         self, context: RunContext, variable: str, terms: list
     ) -> Iterator[Handle]:
-        """Columnar twin of :meth:`execute_restricted` (not a generator —
-        see :meth:`execute_batch`)."""
-        if self.restricted_batch_runner is None:
-            return self._adapted_restricted(context, variable, terms)
-        if not self.engine_filters:
-            return self.restricted_batch_runner(context, variable, terms)
-        return self._filtered_batch(
-            context, self.restricted_batch_runner(context, variable, terms)
-        )
+        """Columnar twin of :meth:`execute_restricted`."""
+        twins = self.restricted_batch_runner, self.execute_restricted
+        return self._handles(context, *twins, variable, terms)
 
     def data_signature(self, context: RunContext) -> tuple | None:
         provider = self.data_version_provider
@@ -220,46 +267,63 @@ class ServiceNode(FedOperator):
         return base
 
 
-def solution_identity(solution: Solution) -> tuple:
-    """A hashable identity of a solution, name-sorted (for DISTINCT sets).
+class _FilterKernel(Kernel):
+    """FILTERs evaluated at the engine: one charge per solution, all must hold.
 
-    Uses the interned per-shape name tuple so the per-solution sort in the
-    DISTINCT hot loop is paid once per solution *shape* instead of once per
-    solution.
-    """
-    return tuple((name, solution[name].n3()) for name in interned_names(solution))
-
-
-def sort_solutions(
-    solutions: list[Solution], conditions: list[OrderCondition]
-) -> list[Solution]:
-    """Sort *solutions* in place by ORDER BY conditions; returns the list.
-
-    Shared by the pull-based :class:`OrderBy` operator and the event
-    runtime's order node so both runtimes use the same typed collation.
+    Serves :class:`EngineFilter` and the engine-side filters of a
+    :class:`ServiceNode` (including a dependent join's inner service).
     """
 
-    def key_for(condition: OrderCondition):
-        def key(solution: Solution):
-            try:
-                value = evaluate(condition.expression, solution)
-            except ExpressionError:
-                return (0, "")
-            if hasattr(value, "to_python"):
-                value = value.to_python()
-            elif hasattr(value, "value"):
-                value = value.value
-            if isinstance(value, bool):
-                return (1, int(value))
-            if isinstance(value, (int, float)):
-                return (2, value)
-            return (3, str(value))
+    def __init__(self, context: RunContext, op: FedOperator, filters: list[Filter]):
+        super().__init__(context, op)
+        self.seconds = self.cost.engine_filter_eval * len(filters)
+        self.tests = [compile_holds(f.expression) for f in filters]
 
-        return key
+    def step(self, slot: int, solution: Solution) -> Iterable[Solution]:
+        self.charge(self.seconds)
+        if all(test(solution) for test in self.tests):
+            return (solution,)
+        return ()
 
-    for condition in reversed(conditions):
-        solutions.sort(key=key_for(condition), reverse=not condition.ascending)
-    return solutions
+
+def _filter_handles(
+    kernel: _FilterKernel, context: RunContext, stream: Iterator[Handle]
+) -> Iterator[Handle]:
+    """The columnar filter loop: *kernel*'s charge and tests applied to a
+    handle stream, each row seen through a :class:`RowView`."""
+    charge = kernel.seconds
+    tests = kernel.tests
+    positive = charge > 0
+    clock_sleep = context.clock.sleep
+    stats = context.stats
+    for handle in stream:
+        if positive:
+            clock_sleep(charge)
+            stats.engine_cost += charge
+        view = RowView(handle[0], handle[1])
+        if all(test(view) for test in tests):
+            yield handle
+
+
+def _sort_key(condition: OrderCondition):
+    """The typed collation key of one ORDER BY condition (any Mapping row)."""
+
+    def key(solution: Solution):
+        try:
+            value = evaluate(condition.expression, solution)
+        except ExpressionError:
+            return (0, "")
+        if hasattr(value, "to_python"):
+            value = value.to_python()
+        elif hasattr(value, "value"):
+            value = value.value
+        if isinstance(value, bool):
+            return (1, int(value))
+        if isinstance(value, (int, float)):
+            return (2, value)
+        return (3, str(value))
+
+    return key
 
 
 def _merge(left: Solution, right: Solution) -> Solution | None:
@@ -275,13 +339,21 @@ def _merge(left: Solution, right: Solution) -> Solution | None:
 
 
 class _BatchEmitter:
-    """Per-execution output builders, one per emitted batch shape."""
+    """Per-execution merge plans and output builders, one per batch shape."""
 
-    __slots__ = ("batch_size", "builders")
+    __slots__ = ("batch_size", "builders", "plans")
 
     def __init__(self, context: RunContext):
         self.batch_size = context.batch_size
         self.builders: dict[tuple[str, ...], BatchBuilder] = {}
+        self.plans: dict[tuple, MergePlan] = {}
+
+    def plan_for(self, left: tuple[str, ...], right: tuple[str, ...]) -> MergePlan:
+        """The merge plan of one (left shape, right shape), compiled once."""
+        plan = self.plans.get((left, right))
+        if plan is None:
+            plan = self.plans[left, right] = MergePlan(left, right)
+        return plan
 
     def emit(self, names: tuple[str, ...], values: list[Term | None]) -> Handle:
         return self.builder_for(names).append(values)
@@ -309,6 +381,38 @@ def _positions_cache(variables: tuple[str, ...]):
     return positions_for
 
 
+class _ZippedKeys:
+    """The join-key column of one batch when no stored column can serve:
+    several join variables (tuple keys), none (``()``), or a variable the
+    batch lacks.  Zipped on demand, because builder batches keep growing
+    while handles into them are in flight; a key with an unbound component
+    is ``None``, like a hole in a stored column — the row cannot join.
+    """
+
+    def __init__(self, columns: list[list[Term | None]], positions: list[int]):
+        self.columns = columns
+        self.positions = positions
+
+    def __getitem__(self, idx: int) -> tuple[Term, ...] | None:
+        key = []
+        for position in self.positions:
+            term = None if position < 0 else self.columns[position][idx]
+            if term is None:
+                return None
+            key.append(term)
+        return tuple(key)
+
+
+def _key_column(batch: SolutionBatch, variables: tuple[str, ...]):
+    """*batch*'s join keys by row: the stored column itself for one join
+    variable (a bare term is its own key), zipped tuples otherwise."""
+    index = batch.index
+    positions = [index.get(name, -1) for name in variables]
+    if len(positions) == 1 and positions[0] >= 0:
+        return batch.columns[positions[0]]
+    return _ZippedKeys(batch.columns, positions)
+
+
 # Single-variable join *streams* are memoized across runs in the
 # ``join_streams`` region of :mod:`repro.cache.memos`.  Delays and cache
 # state never change which rows arrive or in which order (pull-driven
@@ -321,8 +425,71 @@ def _positions_cache(variables: tuple[str, ...]):
 # data signatures plus everything that shapes charges and chunking.
 
 
+class _HashJoinKernel(Kernel):
+    """Both hash tables of one symmetric join and its pending charges.
+
+    Insert/probe costs are batched and flushed before every emitted answer
+    (and at stream end): the clock value at each output — hence every
+    answer timestamp — is identical to per-tuple charging, but non-joining
+    tuples no longer pay two charge calls each.  The output multiset is
+    arrival-order-invariant because each joinable pair is emitted exactly
+    once — by whichever side arrives second.
+    """
+
+    def __init__(self, context: RunContext, op: "SymmetricHashJoin"):
+        super().__init__(context, op)
+        self.tables: tuple[dict, dict] = ({}, {})
+        self.charges = ChargeBatch(context)
+        self.insert_probe = self.cost.engine_hash_insert + self.cost.engine_hash_probe
+
+    def step(self, side: int, solution: Solution) -> Iterable[Solution]:
+        key = []
+        for name in self.op.join_variables:
+            term = solution.get(name)
+            if term is None:
+                return ()
+            key.append(term)
+        key = tuple(key)
+        self.charges.add(self.insert_probe)
+        self.tables[side].setdefault(key, []).append(solution)
+        matches = self.tables[1 - side].get(key)
+        return self._joined(side, solution, matches) if matches else ()
+
+    def _joined(self, side: int, solution: Solution, matches: list) -> Iterator:
+        charges = self.charges
+        for candidate in matches:
+            if side == 0:
+                merged = _merge(solution, candidate)
+            else:
+                merged = _merge(candidate, solution)
+            if merged is not None:
+                charges.add(self.cost.engine_join_output_row)
+                charges.flush()
+                yield merged
+
+    def finish(self) -> Iterable[Solution]:
+        self.charges.flush()
+        return ()
+
+
 @dataclass
-class SymmetricHashJoin(FedOperator):
+class _Binary(FedOperator):
+    """An operator joining two inputs on their shared variables."""
+
+    left: FedOperator
+    right: FedOperator
+    join_variables: tuple[str, ...]
+
+    def children(self) -> list[FedOperator]:
+        return [self.left, self.right]
+
+    def label(self) -> str:
+        joined = ", ".join(f"?{name}" for name in self.join_variables) or "×"
+        return f"{type(self).__name__}[{joined}]"
+
+
+@dataclass
+class SymmetricHashJoin(_Binary):
     """ANAPSID's agjoin: a non-blocking symmetric hash join.
 
     Both inputs are polled in alternation; each arriving solution is
@@ -330,50 +497,7 @@ class SymmetricHashJoin(FedOperator):
     probed against the opposite table, emitting joins immediately.
     """
 
-    left: FedOperator
-    right: FedOperator
-    join_variables: tuple[str, ...]
-
-    def execute(self, context: RunContext) -> Iterator[Solution]:
-        cost = context.cost_model
-        key_of = self._key_function()
-        tables: tuple[dict, dict] = ({}, {})
-        iterators = [self.left.execute(context), self.right.execute(context)]
-        active = [True, True]
-        side = 0
-        # Insert/probe costs are batched and flushed before every emitted
-        # answer (and at stream end): the clock value at each yield — hence
-        # every answer timestamp — is identical to per-tuple charging, but
-        # non-joining tuples no longer pay two charge calls each.
-        charges = ChargeBatch(context)
-        insert_probe = cost.engine_hash_insert + cost.engine_hash_probe
-        while active[0] or active[1]:
-            if not active[side]:
-                side = 1 - side
-            try:
-                solution = next(iterators[side])
-            except StopIteration:
-                active[side] = False
-                side = 1 - side
-                continue
-            key = key_of(solution)
-            if key is None:
-                side = 1 - side
-                continue
-            charges.add(insert_probe)
-            tables[side].setdefault(key, []).append(solution)
-            other = tables[1 - side]
-            for candidate in other.get(key, ()):  # probe
-                if side == 0:
-                    merged = _merge(solution, candidate)
-                else:
-                    merged = _merge(candidate, solution)
-                if merged is not None:
-                    charges.add(cost.engine_join_output_row)
-                    charges.flush()
-                    yield merged
-            side = 1 - side
-        charges.flush()
+    kernel_type = _HashJoinKernel
 
     def execute_batch(self, context: RunContext) -> Iterator[Handle]:
         # Same pull alternation and charge sequence as ``execute``; the
@@ -382,41 +506,36 @@ class SymmetricHashJoin(FedOperator):
         # (left shape, right shape) pair.  When the shared variables of a
         # pair are exactly the join variables, key equality already proves
         # the rows compatible and the merged row is a plain column gather.
-        # The single-variable join (the overwhelmingly common shape) gets
-        # its own loop with the key fetch reduced to one column access.
-        if len(self.join_variables) == 1:
-            return self._execute_batch_single(context)
-        return self._execute_batch_multi(context)
-
-    def _execute_batch_single(self, context: RunContext) -> Iterator[Handle]:
-        cost = context.cost_model
-        name = self.join_variables[0]
+        # Only the single-variable join (the overwhelmingly common shape)
+        # records and replays its stream through the ``join_streams`` memo.
         memo_key = None
         script: list | None = None
-        if context.obs is None:
-            left_sig = self.left.data_signature(context)
-            if left_sig is not None:
-                right_sig = self.right.data_signature(context)
-                if right_sig is not None:
-                    memo_key = (
-                        name,
-                        left_sig,
-                        right_sig,
-                        cost,
-                        context.batch_size,
-                    )
-                    cached = join_streams.get(memo_key)
-                    if cached is not None:
-                        return self._replay_single(context, cached)
-                    script = []
+        if len(self.join_variables) == 1 and context.obs is None:
+            signatures = (
+                self.left.data_signature(context),
+                self.right.data_signature(context),
+            )
+            if None not in signatures:
+                memo_key = (
+                    self.join_variables[0],
+                    *signatures,
+                    context.cost_model,
+                    context.batch_size,
+                )
+                cached = join_streams.get(memo_key)
+                if cached is not None:
+                    return self._replay_single(context, cached)
+                script = []
         return self._run_single(context, memo_key, script)
 
     def _run_single(
         self, context: RunContext, memo_key, script: list | None
     ) -> Iterator[Handle]:
         cost = context.cost_model
-        name = self.join_variables[0]
-        pos_cache: dict[tuple[str, ...], int] = {}
+        variables = self.join_variables
+        # One key column per input batch: the stored column for a single
+        # join variable, keys zipped on demand otherwise (``_key_column``).
+        key_columns: dict[SolutionBatch, object] = {}
         table0: dict = {}
         table1: dict = {}
         own_other = ((table0, table1), (table1, table0))
@@ -437,7 +556,7 @@ class SymmetricHashJoin(FedOperator):
         join_output = cost.engine_join_output_row
         emitter = _BatchEmitter(context)
         pair_cache: dict[tuple, tuple] = {}
-        variable_set = frozenset((name,))
+        variable_set = frozenset(variables)
         pending = 0.0
         while active[0] or active[1]:
             if not active[side]:
@@ -452,14 +571,10 @@ class SymmetricHashJoin(FedOperator):
                 continue
             if script is not None:
                 script.append(side)
-            shape = batch.names
-            position = pos_cache.get(shape)
-            if position is None:
-                position = pos_cache[shape] = batch.index.get(name, -1)
-            if position < 0:
-                side = 1 - side
-                continue
-            key = batch.columns[position][idx]
+            keys = key_columns.get(batch)
+            if keys is None:
+                keys = key_columns[batch] = _key_column(batch, variables)
+            key = keys[idx]
             if key is None:
                 side = 1 - side
                 continue
@@ -479,7 +594,7 @@ class SymmetricHashJoin(FedOperator):
                     pair = (lbatch.names, rbatch.names)
                     compiled = pair_cache.get(pair)
                     if compiled is None:
-                        plan = merge_plan(pair[0], pair[1])
+                        plan = MergePlan(pair[0], pair[1])
                         gather = (
                             frozenset(pair[0][lpos] for lpos, __ in plan.shared)
                             <= variable_set
@@ -586,134 +701,6 @@ class SymmetricHashJoin(FedOperator):
                 clock_sleep(final_pending)
             stats.engine_cost += final_pending
 
-    def _execute_batch_multi(self, context: RunContext) -> Iterator[Handle]:
-        cost = context.cost_model
-        variables = self.join_variables
-        pos_cache: dict[tuple[str, ...], list[int]] = {}
-        tables: tuple[dict, dict] = ({}, {})
-        iterators = [
-            self.left.execute_batch(context),
-            self.right.execute_batch(context),
-        ]
-        active = [True, True]
-        side = 0
-        clock = context.clock
-        virtual = type(clock) is VirtualClock
-        clock_sleep = clock.sleep
-        stats = context.stats
-        insert_probe = cost.engine_hash_insert + cost.engine_hash_probe
-        join_output = cost.engine_join_output_row
-        emitter = _BatchEmitter(context)
-        pair_cache: dict[tuple, tuple] = {}
-        variable_set = frozenset(variables)
-        pending = 0.0
-        while active[0] or active[1]:
-            if not active[side]:
-                side = 1 - side
-            try:
-                batch, idx = next(iterators[side])
-            except StopIteration:
-                active[side] = False
-                side = 1 - side
-                continue
-            columns = batch.columns
-            shape = batch.names
-            positions = pos_cache.get(shape)
-            if positions is None:
-                index = batch.index
-                positions = pos_cache[shape] = [
-                    index.get(name, -1) for name in variables
-                ]
-            parts = []
-            for position in positions:
-                term = None if position < 0 else columns[position][idx]
-                if term is None:
-                    parts = None
-                    break
-                parts.append(term)
-            key = None if parts is None else tuple(parts)
-            if key is None:
-                side = 1 - side
-                continue
-            pending += insert_probe
-            table = tables[side]
-            bucket = table.get(key)
-            if bucket is None:
-                table[key] = bucket = []
-            bucket.append((batch, idx))
-            matches = tables[1 - side].get(key)
-            if matches:
-                for candidate, cidx in matches:
-                    if side == 0:
-                        lbatch, li, rbatch, ri = batch, idx, candidate, cidx
-                    else:
-                        lbatch, li, rbatch, ri = candidate, cidx, batch, idx
-                    pair = (lbatch.names, rbatch.names)
-                    compiled = pair_cache.get(pair)
-                    if compiled is None:
-                        plan = merge_plan(pair[0], pair[1])
-                        gather = (
-                            frozenset(pair[0][lpos] for lpos, __ in plan.shared)
-                            <= variable_set
-                        )
-                        builder = emitter.builder_for(plan.names)
-                        compiled = pair_cache[pair] = (
-                            plan,
-                            gather,
-                            builder.append,
-                            builder.append_gather,
-                            plan.right_only,
-                        )
-                    plan, gather, append, append_gather, right_only = compiled
-                    if gather:
-                        pending += join_output
-                        if pending > 0:
-                            if virtual:
-                                clock._now += pending
-                            else:
-                                clock_sleep(pending)
-                            stats.engine_cost += pending
-                            pending = 0.0
-                        yield append_gather(
-                            lbatch.columns, li, rbatch.columns, ri, right_only
-                        )
-                        continue
-                    values = plan.merge_values(lbatch, li, rbatch, ri)
-                    if values is not None:
-                        pending += join_output
-                        if pending > 0:
-                            if virtual:
-                                clock._now += pending
-                            else:
-                                clock_sleep(pending)
-                            stats.engine_cost += pending
-                            pending = 0.0
-                        yield append(values)
-            side = 1 - side
-        if pending > 0:
-            if virtual:
-                clock._now += pending
-            else:
-                clock_sleep(pending)
-            stats.engine_cost += pending
-
-    def _key_function(self) -> Callable[[Solution], tuple | None]:
-        names = self.join_variables
-
-        def key_of(solution: Solution) -> tuple[Term, ...] | None:
-            key = []
-            for name in names:
-                term = solution.get(name)
-                if term is None:
-                    return None
-                key.append(term)
-            return tuple(key)
-
-        return key_of
-
-    def children(self) -> list[FedOperator]:
-        return [self.left, self.right]
-
     def data_signature(self, context: RunContext) -> tuple | None:
         left = self.left.data_signature(context)
         if left is None:
@@ -723,13 +710,44 @@ class SymmetricHashJoin(FedOperator):
             return None
         return ("shj", self.join_variables, left, right)
 
-    def label(self) -> str:
-        joined = ", ".join(f"?{name}" for name in self.join_variables) or "×"
-        return f"SymmetricHashJoin[{joined}]"
+
+class _LeftJoinKernel(Kernel):
+    """The OPTIONAL body's hash table: slot 1 builds it, slot 0 probes it.
+
+    Unbound join variables take part with a ``None`` key component, so a
+    left solution still finds the optional rows that leave them open.
+    """
+
+    BUILD = 1
+
+    def __init__(self, context: RunContext, op: "LeftJoin"):
+        super().__init__(context, op)
+        self.table: dict[tuple, list[Solution]] = {}
+
+    def step(self, slot: int, solution: Solution) -> Iterable[Solution]:
+        key = tuple(solution.get(name) for name in self.op.join_variables)
+        if slot == self.BUILD:
+            self.charge(self.cost.engine_hash_insert)
+            self.table.setdefault(key, []).append(solution)
+            return ()
+        self.charge(self.cost.engine_hash_probe)
+        candidates = self.table.get(key)
+        return self._extended(solution, candidates) if candidates else (solution,)
+
+    def _extended(self, solution: Solution, candidates: list) -> Iterator[Solution]:
+        matched = False
+        for candidate in candidates:
+            merged = _merge(solution, candidate)
+            if merged is not None:
+                matched = True
+                self.charge(self.cost.engine_join_output_row)
+                yield merged
+        if not matched:
+            yield solution
 
 
 @dataclass
-class LeftJoin(FedOperator):
+class LeftJoin(_Binary):
     """OPTIONAL: keep every left solution, extend with right matches.
 
     The right input is materialized into a hash table on the join
@@ -738,29 +756,13 @@ class LeftJoin(FedOperator):
     optional part has no compatible match.
     """
 
-    left: FedOperator
-    right: FedOperator
-    join_variables: tuple[str, ...]
+    kernel_type = _LeftJoinKernel
 
     def execute(self, context: RunContext) -> Iterator[Solution]:
-        cost = context.cost_model
-        table: dict[tuple, list[Solution]] = {}
+        kernel = self.kernel(context)
         for solution in self.right.execute(context):
-            context.charge_engine(cost.engine_hash_insert)
-            key = tuple(solution.get(name) for name in self.join_variables)
-            table.setdefault(key, []).append(solution)
-        for solution in self.left.execute(context):
-            context.charge_engine(cost.engine_hash_probe)
-            key = tuple(solution.get(name) for name in self.join_variables)
-            matched = False
-            for candidate in table.get(key, ()):
-                merged = _merge(solution, candidate)
-                if merged is not None:
-                    matched = True
-                    context.charge_engine(cost.engine_join_output_row)
-                    yield merged
-            if not matched:
-                yield solution
+            kernel.step(kernel.BUILD, solution)
+        yield from _drive(kernel, [self.left.execute(context)])
 
     def execute_batch(self, context: RunContext) -> Iterator[Handle]:
         cost = context.cost_model
@@ -771,6 +773,7 @@ class LeftJoin(FedOperator):
         hash_probe = cost.engine_hash_probe
         output_row = cost.engine_join_output_row
         emitter = _BatchEmitter(context)
+        plan_for = emitter.plan_for
         table: dict[tuple, list[Handle]] = {}
         # NB: unlike the symmetric join, unbound join variables participate
         # with a None key component (mirroring ``solution.get`` row mode).
@@ -795,7 +798,7 @@ class LeftJoin(FedOperator):
             )
             matched = False
             for candidate, cidx in table.get(key, ()):
-                plan = merge_plan(batch.names, candidate.names)
+                plan = plan_for(batch.names, candidate.names)
                 values = plan.merge_values(batch, idx, candidate, cidx)
                 if values is not None:
                     matched = True
@@ -806,12 +809,67 @@ class LeftJoin(FedOperator):
             if not matched:
                 yield (batch, idx)
 
-    def children(self) -> list[FedOperator]:
-        return [self.left, self.right]
-
     def label(self) -> str:
-        joined = ", ".join(f"?{name}" for name in self.join_variables) or "×"
-        return f"LeftJoin[{joined}] (OPTIONAL)"
+        return super().label() + " (OPTIONAL)"
+
+
+class _BoundJoinKernel(Kernel):
+    """One dependent join's block buffer and the sealed block's hash table.
+
+    Outer solutions that bind the join variable are buffered (``OUTER``
+    steps release nothing).  When the driver sees the block ``full`` — or
+    the outer input end on a partial block — it calls :meth:`seal`, which
+    indexes the block and returns the distinct terms to restrict the inner
+    sub-query by; ``INNER`` steps then probe that block.
+    """
+
+    OUTER = 0
+    INNER = 1
+
+    def __init__(self, context: RunContext, op: "DependentJoin"):
+        super().__init__(context, op)
+        self.block: list[Solution] = []
+        self.by_term: dict[Term, list[Solution]] = {}
+
+    @property
+    def full(self) -> bool:
+        return len(self.block) >= self.op.block_size
+
+    def seal(self) -> list[Term]:
+        """Index the buffered block; returns its distinct join terms in order."""
+        variable = self.op.join_variable
+        terms = []
+        seen: set = set()
+        for solution in self.block:
+            term = solution[variable]
+            if term not in seen:
+                seen.add(term)
+                terms.append(term)
+        by_term = self.by_term = {}
+        for solution in self.block:
+            # Per-tuple, not one multiplied charge: every driver and the
+            # columnar loop see the same float sum.
+            self.charge(self.cost.engine_hash_insert)
+            by_term.setdefault(solution[variable], []).append(solution)
+        self.block = []
+        return terms
+
+    def step(self, slot: int, solution: Solution) -> Iterable[Solution]:
+        variable = self.op.join_variable
+        if slot == self.OUTER:
+            if variable in solution:
+                self.block.append(solution)
+            return ()
+        self.charge(self.cost.engine_hash_probe)
+        outers = self.by_term.get(solution[variable])
+        return self._joined(outers, solution) if outers else ()
+
+    def _joined(self, outers: list, inner_solution: Solution) -> Iterator[Solution]:
+        for outer_solution in outers:
+            merged = _merge(outer_solution, inner_solution)
+            if merged is not None:
+                self.charge(self.cost.engine_join_output_row)
+                yield merged
 
 
 @dataclass
@@ -829,41 +887,26 @@ class DependentJoin(FedOperator):
     inner: ServiceNode
     join_variable: str
     block_size: int = 50
+    kernel_type = _BoundJoinKernel
 
     def execute(self, context: RunContext) -> Iterator[Solution]:
-        cost = context.cost_model
-        block: list[Solution] = []
+        kernel = self.kernel(context)
         outer_stream = self.outer.execute(context)
         while True:
-            block.clear()
             for solution in outer_stream:
-                if self.join_variable in solution:
-                    block.append(solution)
-                    if len(block) >= self.block_size:
-                        break
-            if not block:
+                kernel.step(kernel.OUTER, solution)
+                if kernel.full:
+                    break
+            if not kernel.block:
                 return
-            terms = []
-            seen: set = set()
-            for solution in block:
-                term = solution[self.join_variable]
-                if term not in seen:
-                    seen.add(term)
-                    terms.append(term)
-            by_term: dict = {}
-            for solution in block:
-                context.charge_engine(cost.engine_hash_insert)
-                by_term.setdefault(solution[self.join_variable], []).append(solution)
+            # A partial block means the outer input ended: it is the last.
+            final = not kernel.full
+            terms = kernel.seal()
             for inner_solution in self.inner.execute_restricted(
                 context, self.join_variable, terms
             ):
-                context.charge_engine(cost.engine_hash_probe)
-                for outer_solution in by_term.get(inner_solution[self.join_variable], ()):
-                    merged = _merge(outer_solution, inner_solution)
-                    if merged is not None:
-                        context.charge_engine(cost.engine_join_output_row)
-                        yield merged
-            if len(block) < self.block_size:
+                yield from kernel.step(kernel.INNER, inner_solution)
+            if final:
                 return
 
     def execute_batch(self, context: RunContext) -> Iterator[Handle]:
@@ -876,6 +919,7 @@ class DependentJoin(FedOperator):
         hash_probe = cost.engine_hash_probe
         output_row = cost.engine_join_output_row
         emitter = _BatchEmitter(context)
+        plan_for = emitter.plan_for
         block: list[Handle] = []
         block_terms: list[Term] = []
         outer_stream = self.outer.execute_batch(context)
@@ -912,7 +956,7 @@ class DependentJoin(FedOperator):
                     stats.engine_cost += hash_probe
                 inner_term = ibatch.columns[ibatch.index[variable]][iidx]
                 for obatch, oidx in by_term.get(inner_term, ()):
-                    plan = merge_plan(obatch.names, ibatch.names)
+                    plan = plan_for(obatch.names, ibatch.names)
                     values = plan.merge_values(obatch, oidx, ibatch, iidx)
                     if values is not None:
                         if output_row > 0:
@@ -930,36 +974,28 @@ class DependentJoin(FedOperator):
 
 
 @dataclass
-class EngineFilter(FedOperator):
-    """FILTER evaluated at the query-engine level (Heuristic 2's push-up)."""
+class _Unary(FedOperator):
+    """An operator over one input."""
 
     child: FedOperator
-    filters: list[Filter]
-
-    def execute(self, context: RunContext) -> Iterator[Solution]:
-        cost = context.cost_model
-        tests = [compile_holds(f.expression) for f in self.filters]
-        for solution in self.child.execute(context):
-            context.charge_engine(cost.engine_filter_eval * len(self.filters))
-            if all(test(solution) for test in tests):
-                yield solution
-
-    def execute_batch(self, context: RunContext) -> Iterator[Handle]:
-        charge = context.cost_model.engine_filter_eval * len(self.filters)
-        positive = charge > 0
-        clock_sleep = context.clock.sleep
-        stats = context.stats
-        tests = [compile_holds(f.expression) for f in self.filters]
-        for handle in self.child.execute_batch(context):
-            if positive:
-                clock_sleep(charge)
-                stats.engine_cost += charge
-            view = RowView(handle[0], handle[1])
-            if all(test(view) for test in tests):
-                yield handle
 
     def children(self) -> list[FedOperator]:
         return [self.child]
+
+
+@dataclass
+class EngineFilter(_Unary):
+    """FILTER evaluated at the query-engine level (Heuristic 2's push-up)."""
+
+    filters: list[Filter]
+
+    def kernel(self, context: RunContext) -> _FilterKernel:
+        return _FilterKernel(context, self, self.filters)
+
+    def execute_batch(self, context: RunContext) -> Iterator[Handle]:
+        return _filter_handles(
+            self.kernel(context), context, self.child.execute_batch(context)
+        )
 
     def data_signature(self, context: RunContext) -> tuple | None:
         child = self.child.data_signature(context)
@@ -972,19 +1008,19 @@ class EngineFilter(FedOperator):
         return f"EngineFilter[{rendered}]"
 
 
+class _ProjectKernel(Kernel):
+    def step(self, slot: int, solution: Solution) -> Iterable[Solution]:
+        self.charge(self.cost.engine_project_row)
+        names = self.op.variables
+        return ({name: solution[name] for name in names if name in solution},)
+
+
 @dataclass
-class Project(FedOperator):
+class Project(_Unary):
     """Restrict solutions to the projected variables."""
 
-    child: FedOperator
     variables: tuple[str, ...]
-
-    def execute(self, context: RunContext) -> Iterator[Solution]:
-        cost = context.cost_model
-        names = self.variables
-        for solution in self.child.execute(context):
-            context.charge_engine(cost.engine_project_row)
-            yield {name: solution[name] for name in names if name in solution}
+    kernel_type = _ProjectKernel
 
     def execute_batch(self, context: RunContext) -> Iterator[Handle]:
         # Zero-copy: the projected batch aliases the kept input columns
@@ -1016,26 +1052,39 @@ class Project(FedOperator):
                 derived[id(batch)] = entry = (batch, projected)
             yield (entry[1], idx)
 
-    def children(self) -> list[FedOperator]:
-        return [self.child]
-
     def label(self) -> str:
         return "Project[" + ", ".join(f"?{name}" for name in self.variables) + "]"
 
 
-@dataclass
-class Distinct(FedOperator):
-    child: FedOperator
+class _DistinctKernel(Kernel):
+    """The seen-set of one DISTINCT, keyed by name-sorted (name, N3) pairs.
 
-    def execute(self, context: RunContext) -> Iterator[Solution]:
-        cost = context.cost_model
-        seen: set[tuple] = set()
-        for solution in self.child.execute(context):
-            context.charge_engine(cost.engine_distinct_row)
-            key = solution_identity(solution)
-            if key not in seen:
-                seen.add(key)
-                yield solution
+    Sorted name tuples are kept per solution *shape* for this execution
+    only: the per-solution sort is paid once per shape, and no process-wide
+    table grows with client-chosen variable names.
+    """
+
+    def __init__(self, context: RunContext, op: "Distinct"):
+        super().__init__(context, op)
+        self.seen: set[tuple] = set()
+        self.sorted_names: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+    def step(self, slot: int, solution: Solution) -> Iterable[Solution]:
+        self.charge(self.cost.engine_distinct_row)
+        shape = tuple(solution)
+        names = self.sorted_names.get(shape)
+        if names is None:
+            names = self.sorted_names[shape] = tuple(sorted(shape))
+        key = tuple((name, solution[name].n3()) for name in names)
+        if key in self.seen:
+            return ()
+        self.seen.add(key)
+        return (solution,)
+
+
+@dataclass
+class Distinct(_Unary):
+    kernel_type = _DistinctKernel
 
     def execute_batch(self, context: RunContext) -> Iterator[Handle]:
         distinct_cost = context.cost_model.engine_distinct_row
@@ -1054,8 +1103,8 @@ class Distinct(FedOperator):
                 else:
                     clock_sleep(distinct_cost)
                 stats.engine_cost += distinct_cost
-            # handle_identity, inlined: sorted bound (name, n3) pairs with a
-            # per-term n3 memo (bit-compatible with solution_identity).
+            # The row kernel's identity over columns: sorted bound (name, n3)
+            # pairs, with a per-term n3 memo.
             out = []
             for name, column in batch.sorted_pairs:
                 value = column[idx]
@@ -1070,71 +1119,74 @@ class Distinct(FedOperator):
                 seen.add(key)
                 yield (batch, idx)
 
-    def children(self) -> list[FedOperator]:
-        return [self.child]
+
+class _LimitKernel(Kernel):
+    """LIMIT/OFFSET counters.  Counts only — solutions or handles.
+
+    The operator never peeks ahead: the run is :class:`Done` at the first
+    over-limit arrival, not when the limit is reached, so every driver stops
+    at the same point of the same input.
+    """
+
+    skipped = produced = 0
+
+    def step(self, slot: int, solution):
+        if self.op.offset and self.skipped < self.op.offset:
+            self.skipped += 1
+            return ()
+        if self.op.limit is not None and self.produced >= self.op.limit:
+            raise Done
+        self.produced += 1
+        return (solution,)
 
 
 @dataclass
-class Limit(FedOperator):
-    child: FedOperator
+class Limit(_Unary):
     limit: int | None = None
     offset: int | None = None
-
-    def execute(self, context: RunContext) -> Iterator[Solution]:
-        skipped = produced = 0
-        for solution in self.child.execute(context):
-            if self.offset and skipped < self.offset:
-                skipped += 1
-                continue
-            if self.limit is not None and produced >= self.limit:
-                return
-            produced += 1
-            yield solution
+    kernel_type = _LimitKernel
 
     def execute_batch(self, context: RunContext) -> Iterator[Handle]:
-        skipped = produced = 0
-        for handle in self.child.execute_batch(context):
-            if self.offset and skipped < self.offset:
-                skipped += 1
-                continue
-            if self.limit is not None and produced >= self.limit:
-                return
-            produced += 1
-            yield handle
-
-    def children(self) -> list[FedOperator]:
-        return [self.child]
+        return _drive(self.kernel(context), [self.child.execute_batch(context)])
 
     def label(self) -> str:
         return f"Limit[{self.limit}, offset={self.offset}]"
 
 
+class _OrderKernel(Kernel):
+    """Blocking sort: buffers every input, releases them sorted at the end."""
+
+    def __init__(self, context: RunContext, op: "OrderBy"):
+        super().__init__(context, op)
+        self.solutions: list = []
+
+    def step(self, slot: int, solution) -> Iterable:
+        self.solutions.append(solution)
+        return ()
+
+    def finish(self) -> Iterable:
+        solutions, self.solutions = self.solutions, []
+        self.charge(self.cost.engine_sort_row * len(solutions))
+        for condition in reversed(self.op.conditions):
+            solutions.sort(key=_sort_key(condition), reverse=not condition.ascending)
+        return solutions
+
+
 @dataclass
-class OrderBy(FedOperator):
+class OrderBy(_Unary):
     """Blocking sort by ORDER BY conditions (evaluated at the engine)."""
 
-    child: FedOperator
     conditions: list[OrderCondition]
-
-    def execute(self, context: RunContext) -> Iterator[Solution]:
-        cost = context.cost_model
-        solutions = list(self.child.execute(context))
-        context.charge_engine(cost.engine_sort_row * len(solutions))
-        yield from sort_solutions(solutions, self.conditions)
+    kernel_type = _OrderKernel
 
     def execute_batch(self, context: RunContext) -> Iterator[Handle]:
-        # RowView is a Mapping, so the shared typed collation applies
+        # RowView is a Mapping, so the kernel's typed collation applies
         # unchanged; sorts are stable, so the permutation matches row mode.
-        cost = context.cost_model
-        views = [
+        views = (
             RowView(batch, idx) for batch, idx in self.child.execute_batch(context)
-        ]
-        context.charge_engine(cost.engine_sort_row * len(views))
-        for view in sort_solutions(views, self.conditions):
+        )
+        for view in _drive(self.kernel(context), [views]):
             yield (view.batch, view.idx)
-
-    def children(self) -> list[FedOperator]:
-        return [self.child]
 
 
 @dataclass
@@ -1142,30 +1194,11 @@ class Union(FedOperator):
     """Round-robin union of several inputs (no duplicate elimination)."""
 
     inputs: list[FedOperator]
-
-    def execute(self, context: RunContext) -> Iterator[Solution]:
-        iterators = [child.execute(context) for child in self.inputs]
-        active = [True] * len(iterators)
-        while any(active):
-            for position, iterator in enumerate(iterators):
-                if not active[position]:
-                    continue
-                try:
-                    yield next(iterator)
-                except StopIteration:
-                    active[position] = False
+    kernel_type = Kernel
 
     def execute_batch(self, context: RunContext) -> Iterator[Handle]:
-        iterators = [child.execute_batch(context) for child in self.inputs]
-        active = [True] * len(iterators)
-        while any(active):
-            for position, iterator in enumerate(iterators):
-                if not active[position]:
-                    continue
-                try:
-                    yield next(iterator)
-                except StopIteration:
-                    active[position] = False
+        streams = [child.execute_batch(context) for child in self.inputs]
+        return _drive(self.kernel(context), streams)
 
     def children(self) -> list[FedOperator]:
         return list(self.inputs)

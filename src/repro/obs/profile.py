@@ -1,9 +1,7 @@
 """Per-operator profiles and the EXPLAIN-ANALYZE report.
 
-These classes used to live in :mod:`repro.core.profiler` (which still
-re-exports them); they moved here when profiling migrated onto the
-observation bus so that all three runtimes — sequential, event, thread —
-feed the same report structure.
+Profiling rides the observation bus, so all three runtimes — sequential,
+event, thread — feed the same report structure.
 """
 
 from __future__ import annotations

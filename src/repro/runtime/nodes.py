@@ -1,14 +1,15 @@
 """Push-mode operator nodes driven by the event scheduler.
 
-Each node mirrors one pull-based operator from
-:mod:`repro.federation.operators` — same charging, same output multiset —
-but receives solutions *pushed* into it as timed events instead of pulling
-them from a child iterator.  The scheduler delivers one producer event at
-a time on the engine timeline; the resulting cascade through these nodes
-charges engine work to the engine clock exactly as the sequential operator
-chain would, so single-producer plans are bit-identical between runtimes
-while sibling producers (two sources under a join or union) overlap their
-delays.
+Each node is the *push driver* of one operator kernel from
+:mod:`repro.federation.operators`: the kernel holds the operator's state and
+issues its charges, exactly as under the pull-based ``execute``; the node
+only receives solutions *pushed* into it as timed events, forwards what the
+kernel releases, and decides when subtrees start and pause.  The
+scheduler delivers one producer event at a time on the engine timeline; the
+resulting cascade through these nodes charges engine work to the engine
+clock exactly as the sequential operator chain would, so single-producer
+plans are bit-identical between runtimes while sibling producers (two
+sources under a join or union) overlap their delays.
 
 A node's ``slot`` is its position in its parent (0 for unary children,
 0/1 for join sides, the branch index for unions).  ``push(slot, solution)``
@@ -22,24 +23,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..federation.answers import ChargeBatch, Solution
+from ..federation.answers import Solution
 from ..federation.operators import (
     DependentJoin,
-    Distinct,
-    EngineFilter,
     FedOperator,
     LeftJoin,
-    Limit,
-    OrderBy,
-    Project,
     ServiceNode,
-    SymmetricHashJoin,
-    Union,
-    _merge,
-    solution_identity,
-    sort_solutions,
 )
-from ..sparql.expressions import compile_holds, holds
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scheduler import EventScheduler, Gate
@@ -47,8 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class Node:
     """Base class of push-mode nodes."""
-
-    __slots__ = ("sched", "context", "parent", "slot")
 
     def __init__(self, sched: "EventScheduler", parent: "Node", slot: int):
         self.sched = sched
@@ -78,14 +66,9 @@ class TapNode(Node):
     objects, cached plans are never mutated by being observed.
     """
 
-    __slots__ = ("profile",)
-
     def __init__(self, sched: "EventScheduler", parent: Node, slot: int, profile):
         super().__init__(sched, parent, slot)
         self.profile = profile
-
-    def start(self, time: float) -> None:  # pragma: no cover - never a child
-        raise RuntimeError("taps are not startable")
 
     def push(self, slot: int, solution: Solution) -> None:
         self.profile.record(self.context.now())
@@ -99,14 +82,9 @@ class SinkNode(Node):
     """Root consumer: stamps each answer with the engine time it became
     available and hands it to the scheduler's outbox."""
 
-    __slots__ = ("closed",)
-
     def __init__(self, sched: "EventScheduler"):
         super().__init__(sched, parent=None, slot=0)
         self.closed = False
-
-    def start(self, time: float) -> None:  # pragma: no cover - never a child
-        raise RuntimeError("the sink is not startable")
 
     def push(self, slot: int, solution: Solution) -> None:
         self.sched.emit(solution)
@@ -115,15 +93,49 @@ class SinkNode(Node):
         self.closed = True
 
 
-class SourceNode(Node):
+class OperatorNode(Node):
+    """Push driver of one operator kernel.
+
+    Forwards what the kernel releases for each pushed solution and, once
+    every input slot has closed, what ``finish`` releases; then closes its
+    own slot in the parent.  A kernel's ``Done`` (LIMIT, on the first
+    over-limit arrival — where the pull driver stops pulling) is not caught
+    here: it unwinds the whole cascade to the scheduler, so nothing more is
+    taken from any lazy step below, as when a pull driver closes it.
+    """
+
+    def __init__(
+        self, sched: "EventScheduler", parent: Node, slot: int, op: FedOperator
+    ):
+        super().__init__(sched, parent, slot)
+        self.kernel = op.kernel(self.context)
+        self.inputs: list[Node] = []
+        self.open = len(op.children())
+
+    def start(self, time: float) -> None:
+        for child in self.inputs:
+            child.start(time)
+
+    def push(self, slot: int, solution: Solution) -> None:
+        for output in self.kernel.step(slot, solution):
+            self.parent.push(self.slot, output)
+
+    def close(self, slot: int) -> None:
+        self.open -= 1
+        if self.open == 0:
+            for output in self.kernel.finish():
+                self.parent.push(self.slot, output)
+            self.parent.close(self.slot)
+
+
+class SourceNode(OperatorNode):
     """Leaf: one wrapper sub-query running as a producer task.
 
     The producer runs the raw wrapper stream on its own timeline; the
-    service's engine-side filters are evaluated here, on the engine clock,
-    mirroring ``ServiceNode._filtered``.
+    service's kernel (its engine-side filters) runs here, on the engine
+    clock, as it does under ``ServiceNode.execute``.  A dependent join
+    restarts its inner leaf once per block with a ``restriction``.
     """
-
-    __slots__ = ("service", "filters", "_tests", "gate", "leaf_id")
 
     def __init__(
         self,
@@ -133,393 +145,96 @@ class SourceNode(Node):
         service: ServiceNode,
         gate: "Gate",
     ):
-        super().__init__(sched, parent, slot)
+        super().__init__(sched, parent, slot, service)
         self.service = service
-        self.filters = list(service.engine_filters)
-        self._tests = [compile_holds(f.expression) for f in self.filters]
         self.gate = gate
         self.leaf_id = sched.next_leaf_id()
+        self.restarts = 0
 
-    def start(self, time: float) -> None:
+    def push(self, slot: int, solution: Solution) -> None:
+        if self.service.engine_filters:
+            super().push(slot, solution)
+        else:  # the pass-through kernel, skipped: most leaves, every message
+            self.parent.push(self.slot, solution)
+
+    def start(self, time: float, restriction: tuple | None = None) -> None:
+        service = self.service
+        runner, key = service.runner, (self.leaf_id,)
+        if restriction is not None:
+            if service.restricted_runner is None:  # pragma: no cover
+                raise RuntimeError(f"service {service.source_id!r} is not restrictable")
+            self.restarts += 1
+            key = (self.leaf_id, self.restarts)
+
+            def runner(ctx):
+                return service.restricted_runner(ctx, *restriction)
+
+        self.open = 1  # the one producer stream spawned here
         self.sched.spawn(
-            node=self,
-            slot=0,
-            runner=self.service.runner,
-            key=(self.leaf_id,),
-            start=time,
-            gate=self.gate,
+            node=self, slot=0, runner=runner, key=key, start=time, gate=self.gate
         )
 
-    def push(self, slot: int, solution: Solution) -> None:
-        if self.filters:
-            cost = self.context.cost_model
-            self.context.charge_engine(cost.engine_filter_eval * len(self.filters))
-            if not all(test(solution) for test in self._tests):
-                return
-        self.parent.push(self.slot, solution)
 
-    def close(self, slot: int) -> None:
-        self.parent.close(self.slot)
+class LeftJoinNode(OperatorNode):
+    """OPTIONAL: the left subtree only *starts* once the right side closed.
 
-
-class JoinNode(Node):
-    """Symmetric hash join fed by events from both sides.
-
-    Arrival order is whatever the event timeline dictates; the output
-    multiset is arrival-order-invariant because each joinable pair is
-    emitted exactly once — by whichever side arrives second.
-    """
-
-    def __init__(
-        self, sched: "EventScheduler", parent: Node, slot: int, op: SymmetricHashJoin
-    ):
-        super().__init__(sched, parent, slot)
-        self.key_of = op._key_function()
-        self.tables: tuple[dict, dict] = ({}, {})
-        self.open = [True, True]
-        cost = self.context.cost_model
-        self.charges = ChargeBatch(self.context)
-        self.insert_probe = cost.engine_hash_insert + cost.engine_hash_probe
-        self.output_cost = cost.engine_join_output_row
-        self.left: Node | None = None
-        self.right: Node | None = None
-
-    def start(self, time: float) -> None:
-        self.left.start(time)
-        self.right.start(time)
-
-    def push(self, slot: int, solution: Solution) -> None:
-        key = self.key_of(solution)
-        if key is None:
-            return
-        self.charges.add(self.insert_probe)
-        self.tables[slot].setdefault(key, []).append(solution)
-        for candidate in self.tables[1 - slot].get(key, ()):
-            if slot == 0:
-                merged = _merge(solution, candidate)
-            else:
-                merged = _merge(candidate, solution)
-            if merged is not None:
-                self.charges.add(self.output_cost)
-                self.charges.flush()
-                self.parent.push(self.slot, merged)
-
-    def close(self, slot: int) -> None:
-        self.open[slot] = False
-        if not (self.open[0] or self.open[1]):
-            self.charges.flush()
-            self.parent.close(self.slot)
-
-
-class LeftJoinNode(Node):
-    """OPTIONAL: materializes the right side, then streams the left.
-
-    Mirrors the sequential operator's phasing: the left subtree only
-    *starts* once the right side closed, so the probe-side charging (and
-    any left-source delays) accrue after the build, exactly as the
+    Mirrors the sequential operator's phasing, so the probe-side charging
+    (and any left-source delays) accrue after the build, exactly as the
     pull-based operator pays them.
     """
 
-    def __init__(self, sched: "EventScheduler", parent: Node, slot: int, op: LeftJoin):
-        super().__init__(sched, parent, slot)
-        self.names = op.join_variables
-        self.table: dict[tuple, list[Solution]] = {}
-        self.left_child: Node | None = None
-        self.right_child: Node | None = None
-
     def start(self, time: float) -> None:
-        self.right_child.start(time)
-
-    def push(self, slot: int, solution: Solution) -> None:
-        cost = self.context.cost_model
-        key = tuple(solution.get(name) for name in self.names)
-        if slot == 1:  # build side (the OPTIONAL body)
-            self.context.charge_engine(cost.engine_hash_insert)
-            self.table.setdefault(key, []).append(solution)
-            return
-        self.context.charge_engine(cost.engine_hash_probe)
-        matched = False
-        for candidate in self.table.get(key, ()):
-            merged = _merge(solution, candidate)
-            if merged is not None:
-                matched = True
-                self.context.charge_engine(cost.engine_join_output_row)
-                self.parent.push(self.slot, merged)
-        if not matched:
-            self.parent.push(self.slot, solution)
+        self.inputs[1].start(time)
 
     def close(self, slot: int) -> None:
         if slot == 1:
-            self.left_child.start(self.context.now())
-        else:
-            self.parent.close(self.slot)
+            self.inputs[0].start(self.context.now())
+        super().close(slot)
 
 
-class DependentJoinNode(Node):
+class DependentJoinNode(OperatorNode):
     """ANAPSID-style dependent (bound) join under event scheduling.
 
-    The outer subtree streams in; solutions binding the join variable are
-    buffered into blocks.  When a block fills (or the outer input closes
-    with a partial block), the outer subtree's producers are *paused* via
-    its gate and a fresh producer task is spawned for the restricted inner
-    sub-query.  When that inner stream closes, a full block unpauses the
-    outer side for the next block; a final block closes the operator.
-    Pausing makes the block phasing identical to the sequential operator:
-    outer transfer for block N+1 never overlaps inner transfer for block N.
+    The outer subtree streams into the kernel's block buffer.  When a block
+    fills (or the outer input closes with a partial block), the outer
+    subtree's producers are *paused* via its gate and the inner leaf is
+    restarted: a fresh producer task for the restricted inner sub-query.
+    When that inner stream closes, a full block unpauses the outer side for
+    the next block; a final block closes the operator.  Pausing makes the
+    block phasing identical to the sequential operator: outer transfer for
+    block N+1 never overlaps inner transfer for block N.
     """
 
-    OUTER = 0
-    INNER = 1
-
-    def __init__(
-        self,
-        sched: "EventScheduler",
-        parent: Node,
-        slot: int,
-        op: DependentJoin,
-        outer_gate: "Gate",
-        spawn_gate: "Gate",
-    ):
-        super().__init__(sched, parent, slot)
-        self.inner = op.inner
-        self.inner_filters = list(op.inner.engine_filters)
-        self._inner_tests = [compile_holds(f.expression) for f in self.inner_filters]
-        self.join_variable = op.join_variable
-        self.block_size = op.block_size
-        self.outer_gate = outer_gate
-        #: Gate governing the *inner* producers: the node's own compile-time
-        #: gate, so an ancestor dependent join pausing this subtree also
-        #: pauses in-flight inner blocks.
-        self.spawn_gate = spawn_gate
-        self.inner_leaf_id = sched.next_leaf_id()
-        self.block: list[Solution] = []
-        self.by_term: dict = {}
-        self.block_seq = 0
-        self.final_block = False
-        self.outer_child: Node | None = None
+    #: The pause scope of the outer subtree (set by :func:`compile_plan`).
+    outer_gate: "Gate"
+    final_block = False
 
     def start(self, time: float) -> None:
-        self.outer_child.start(time)
+        self.inputs[self.kernel.OUTER].start(time)
 
     def push(self, slot: int, solution: Solution) -> None:
-        if slot == self.OUTER:
-            if self.join_variable in solution:
-                self.block.append(solution)
-                if len(self.block) >= self.block_size:
-                    self._begin_block(final=False)
-            return
-        self._on_inner(solution)
+        super().push(slot, solution)
+        if slot == self.kernel.OUTER and self.kernel.full:
+            self._begin_block(final=False)
 
     def close(self, slot: int) -> None:
-        if slot == self.OUTER:
+        if slot == self.kernel.OUTER:
             # Mirrors the sequential loop: a pending partial block is the
             # last one processed; an empty block ends the operator.
-            if self.block:
+            if self.kernel.block:
                 self._begin_block(final=True)
             else:
                 self.parent.close(self.slot)
-            return
-        self._end_inner()
-
-    def _begin_block(self, final: bool) -> None:
-        self.final_block = final
-        self.outer_gate.pause()
-        cost = self.context.cost_model
-        terms = []
-        seen: set = set()
-        for solution in self.block:
-            term = solution[self.join_variable]
-            if term not in seen:
-                seen.add(term)
-                terms.append(term)
-        self.by_term = {}
-        for solution in self.block:
-            # Per-tuple, not one multiplied charge: keeps the float sum
-            # bit-identical to the sequential operator's.
-            self.context.charge_engine(cost.engine_hash_insert)
-            self.by_term.setdefault(solution[self.join_variable], []).append(solution)
-        self.block = []
-        self.block_seq += 1
-        service = self.inner
-        if service.restricted_runner is None:  # pragma: no cover - planner invariant
-            raise RuntimeError(f"service {service.source_id!r} is not restrictable")
-        variable = self.join_variable
-
-        def runner(ctx, _run=service.restricted_runner, _v=variable, _t=terms):
-            return _run(ctx, _v, _t)
-
-        self.sched.spawn(
-            node=self,
-            slot=self.INNER,
-            runner=runner,
-            key=(self.inner_leaf_id, self.block_seq),
-            start=self.context.now(),
-            gate=self.spawn_gate,
-        )
-
-    def _on_inner(self, solution: Solution) -> None:
-        cost = self.context.cost_model
-        if self.inner_filters:
-            self.context.charge_engine(
-                cost.engine_filter_eval * len(self.inner_filters)
-            )
-            if not all(test(solution) for test in self._inner_tests):
-                return
-        self.context.charge_engine(cost.engine_hash_probe)
-        for outer_solution in self.by_term.get(solution[self.join_variable], ()):
-            merged = _merge(outer_solution, solution)
-            if merged is not None:
-                self.context.charge_engine(cost.engine_join_output_row)
-                self.parent.push(self.slot, merged)
-
-    def _end_inner(self) -> None:
-        self.by_term = {}
-        if self.final_block:
+        elif self.final_block:
             self.parent.close(self.slot)
         else:
             self.outer_gate.unpause(self.sched)
 
-
-class FilterNode(Node):
-    """Engine-level FILTER (mirrors :class:`EngineFilter`)."""
-
-    def __init__(self, sched: "EventScheduler", parent: Node, slot: int, op: EngineFilter):
-        super().__init__(sched, parent, slot)
-        self.filters = op.filters
-        self._tests = [compile_holds(f.expression) for f in op.filters]
-        self.child: Node | None = None
-
-    def start(self, time: float) -> None:
-        self.child.start(time)
-
-    def push(self, slot: int, solution: Solution) -> None:
-        cost = self.context.cost_model
-        self.context.charge_engine(cost.engine_filter_eval * len(self.filters))
-        if all(test(solution) for test in self._tests):
-            self.parent.push(self.slot, solution)
-
-    def close(self, slot: int) -> None:
-        self.parent.close(self.slot)
-
-
-class ProjectNode(Node):
-    def __init__(self, sched: "EventScheduler", parent: Node, slot: int, op: Project):
-        super().__init__(sched, parent, slot)
-        self.names = op.variables
-        self.child: Node | None = None
-
-    def start(self, time: float) -> None:
-        self.child.start(time)
-
-    def push(self, slot: int, solution: Solution) -> None:
-        self.context.charge_engine(self.context.cost_model.engine_project_row)
-        names = self.names
-        self.parent.push(
-            self.slot, {name: solution[name] for name in names if name in solution}
-        )
-
-    def close(self, slot: int) -> None:
-        self.parent.close(self.slot)
-
-
-class DistinctNode(Node):
-    def __init__(self, sched: "EventScheduler", parent: Node, slot: int, op: Distinct):
-        super().__init__(sched, parent, slot)
-        self.seen: set[tuple] = set()
-        self.child: Node | None = None
-
-    def start(self, time: float) -> None:
-        self.child.start(time)
-
-    def push(self, slot: int, solution: Solution) -> None:
-        self.context.charge_engine(self.context.cost_model.engine_distinct_row)
-        key = solution_identity(solution)
-        if key not in self.seen:
-            self.seen.add(key)
-            self.parent.push(self.slot, solution)
-
-    def close(self, slot: int) -> None:
-        self.parent.close(self.slot)
-
-
-class LimitNode(Node):
-    """LIMIT/OFFSET; mirrors the sequential operator's stop condition.
-
-    The pull-based :class:`Limit` only stops when the (limit+1)-th
-    non-skipped solution arrives (it never peeks ahead), so this node does
-    the same: it requests a scheduler stop on the first over-limit arrival
-    rather than when the limit is reached — keeping execution times
-    identical between runtimes.
-    """
-
-    def __init__(self, sched: "EventScheduler", parent: Node, slot: int, op: Limit):
-        super().__init__(sched, parent, slot)
-        self.limit = op.limit
-        self.offset = op.offset
-        self.skipped = 0
-        self.produced = 0
-        self.child: Node | None = None
-
-    def start(self, time: float) -> None:
-        self.child.start(time)
-
-    def push(self, slot: int, solution: Solution) -> None:
-        if self.offset and self.skipped < self.offset:
-            self.skipped += 1
-            return
-        if self.limit is not None and self.produced >= self.limit:
-            self.sched.request_stop()
-            return
-        self.produced += 1
-        self.parent.push(self.slot, solution)
-
-    def close(self, slot: int) -> None:
-        self.parent.close(self.slot)
-
-
-class OrderByNode(Node):
-    """Blocking sort: buffers until close, then emits in sorted order."""
-
-    def __init__(self, sched: "EventScheduler", parent: Node, slot: int, op: OrderBy):
-        super().__init__(sched, parent, slot)
-        self.conditions = op.conditions
-        self.solutions: list[Solution] = []
-        self.child: Node | None = None
-
-    def start(self, time: float) -> None:
-        self.child.start(time)
-
-    def push(self, slot: int, solution: Solution) -> None:
-        self.solutions.append(solution)
-
-    def close(self, slot: int) -> None:
-        cost = self.context.cost_model
-        self.context.charge_engine(cost.engine_sort_row * len(self.solutions))
-        for solution in sort_solutions(self.solutions, self.conditions):
-            self.parent.push(self.slot, solution)
-        self.solutions = []
-        self.parent.close(self.slot)
-
-
-class UnionNode(Node):
-    """Union of N inputs; order is whatever the event timeline delivers."""
-
-    def __init__(self, sched: "EventScheduler", parent: Node, slot: int, op: Union):
-        super().__init__(sched, parent, slot)
-        self.open_count = len(op.inputs)
-        self.branches: list[Node] = []
-
-    def start(self, time: float) -> None:
-        for branch in self.branches:
-            branch.start(time)
-
-    def push(self, slot: int, solution: Solution) -> None:
-        self.parent.push(self.slot, solution)
-
-    def close(self, slot: int) -> None:
-        self.open_count -= 1
-        if self.open_count == 0:
-            self.parent.close(self.slot)
+    def _begin_block(self, final: bool) -> None:
+        self.final_block = final
+        self.outer_gate.pause()
+        restriction = (self.kernel.op.join_variable, self.kernel.seal())
+        self.inputs[self.kernel.INNER].start(self.context.now(), restriction)
 
 
 def compile_plan(
@@ -550,50 +265,22 @@ def compile_plan(
 
     if isinstance(op, ServiceNode):
         return SourceNode(sched, parent, slot, op, gate)
-    if isinstance(op, SymmetricHashJoin):
-        node = JoinNode(sched, parent, slot, op)
-        node.left = compile_plan(sched, op.left, node, 0, gate)
-        node.right = compile_plan(sched, op.right, node, 1, gate)
-        return node
-    if isinstance(op, LeftJoin):
-        node = LeftJoinNode(sched, parent, slot, op)
-        node.left_child = compile_plan(sched, op.left, node, 0, gate)
-        node.right_child = compile_plan(sched, op.right, node, 1, gate)
-        return node
     if isinstance(op, DependentJoin):
-        outer_gate = Gate(parent=gate)
-        node = DependentJoinNode(
-            sched, parent, slot, op, outer_gate=outer_gate, spawn_gate=gate
-        )
-        node.outer_child = compile_plan(
-            sched, op.outer, node, DependentJoinNode.OUTER, outer_gate
-        )
+        # Only the outer subtree sits under the pausable gate.  The inner
+        # leaf takes its id before the outer subtree is compiled and stays
+        # under this node's own gate, so an ancestor dependent join pausing
+        # this subtree also pauses in-flight inner blocks; it gets no tap
+        # (the pull-based operator never calls the inner's ``execute``).
+        node = DependentJoinNode(sched, parent, slot, op)
+        node.outer_gate = Gate(parent=gate)
+        inner = SourceNode(sched, node, node.kernel.INNER, op.inner, gate)
+        outer = compile_plan(sched, op.outer, node, node.kernel.OUTER, node.outer_gate)
+        node.inputs = [outer, inner]
         return node
-    if isinstance(op, EngineFilter):
-        node = FilterNode(sched, parent, slot, op)
-        node.child = compile_plan(sched, op.child, node, 0, gate)
-        return node
-    if isinstance(op, Project):
-        node = ProjectNode(sched, parent, slot, op)
-        node.child = compile_plan(sched, op.child, node, 0, gate)
-        return node
-    if isinstance(op, Distinct):
-        node = DistinctNode(sched, parent, slot, op)
-        node.child = compile_plan(sched, op.child, node, 0, gate)
-        return node
-    if isinstance(op, Limit):
-        node = LimitNode(sched, parent, slot, op)
-        node.child = compile_plan(sched, op.child, node, 0, gate)
-        return node
-    if isinstance(op, OrderBy):
-        node = OrderByNode(sched, parent, slot, op)
-        node.child = compile_plan(sched, op.child, node, 0, gate)
-        return node
-    if isinstance(op, Union):
-        node = UnionNode(sched, parent, slot, op)
-        node.branches = [
-            compile_plan(sched, branch, node, position, gate)
-            for position, branch in enumerate(op.inputs)
-        ]
-        return node
-    raise TypeError(f"no push-mode node for operator {type(op).__name__}")
+    node_type = LeftJoinNode if isinstance(op, LeftJoin) else OperatorNode
+    node = node_type(sched, parent, slot, op)
+    node.inputs = [
+        compile_plan(sched, child, node, position, gate)
+        for position, child in enumerate(op.children())
+    ]
+    return node

@@ -47,7 +47,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..federation.answers import ExecutionStats, RunContext, Solution
-from ..federation.operators import FedOperator
+from ..federation.operators import Done, FedOperator
 from .nodes import SinkNode, compile_plan
 from .task import TaskContext
 
@@ -325,7 +325,6 @@ class EventScheduler:
         self._next_pid = 0
         self._leaf_ids = itertools.count()
         self._outbox: deque[tuple[float, Solution]] = deque()
-        self._stopped = False
         self._runner_up: float | None = None
         self._pool = ThreadPoolExecutor(max_workers=pool_workers) if pool_workers else None
         self._sink = SinkNode(self)
@@ -338,9 +337,6 @@ class EventScheduler:
 
     def emit(self, solution: Solution) -> None:
         self._outbox.append((self.context.now(), solution))
-
-    def request_stop(self) -> None:
-        self._stopped = True
 
     def spawn(
         self,
@@ -364,11 +360,9 @@ class EventScheduler:
                 pid, node, slot, start, self._pool.submit(worker, runner, ctx)
             )
         if obs is not None:
-            # The spawning node is a SourceNode (its `service` operator) or
-            # a DependentJoinNode launching an inner block (`inner`).
-            op = getattr(node, "service", None)
-            if op is None:
-                op = node.inner
+            # The spawning node is a SourceNode — a plan leaf, or a dependent
+            # join's inner leaf restarted for one block.
+            op = node.service
             obs.causal.record_spawn(pid, key, op.source_id, op.label(), start, id(op))
         # A producer spawned inside a paused scope (e.g. an inner block of
         # a nested, currently-paused dependent join) inherits the scope's
@@ -393,7 +387,8 @@ class EventScheduler:
         try:
             self._root_node.start(self.context.now())
             clock = self.context.clock
-            while not (self._sink.closed or self._stopped):
+            stopped = False
+            while not (self._sink.closed or stopped):
                 producer = self._next_deliverable()
                 if producer is None:  # pragma: no cover - defensive
                     raise RuntimeError("event scheduler stalled: no deliverable event")
@@ -412,15 +407,20 @@ class EventScheduler:
                         self._runner_up,
                     )
                 clock.advance_to(time)
-                if payload is _CLOSE:
-                    producer.done = True
-                    stats = producer.task_stats()
-                    if stats is not None:
-                        self.context.stats.absorb_transfer(stats)
-                    producer.node.close(producer.slot)
-                else:
-                    producer.node.push(producer.slot, payload)
-                    producer.awaiting_resume = True
+                try:
+                    if payload is _CLOSE:
+                        producer.done = True
+                        stats = producer.task_stats()
+                        if stats is not None:
+                            self.context.stats.absorb_transfer(stats)
+                        producer.node.close(producer.slot)
+                    else:
+                        producer.node.push(producer.slot, payload)
+                        producer.awaiting_resume = True
+                except Done:
+                    # A kernel ended the run (LIMIT): the cascade is abandoned
+                    # where it stood, as a closed pull chain would be.
+                    stopped = True
                 if (
                     producer.awaiting_resume
                     and not producer.done

@@ -3,6 +3,11 @@
 A memo declared as a bare module-level ``dict`` is unbounded or hand-evicted,
 unlocked, and invisible to ``memo_stats()``.  New memos go through
 ``repro/cache/memos.py`` (an ``LRUCache`` region with a capacity constant).
+
+The guard is by *shape*, not by name: a module-level mapping or set that
+starts empty has no purpose other than to be filled at run time, whatever
+it is called (``_NAME_TUPLES`` hid from a name-based guard for three PRs).
+A mapping whose name says memo/cache is caught even when it starts filled.
 """
 
 from __future__ import annotations
@@ -16,17 +21,39 @@ import repro
 SOURCE_ROOT = Path(repro.__file__).parent
 CACHE_PACKAGE = SOURCE_ROOT / "cache"
 SUSPECT_NAME = re.compile(r"(?i)memo|cache")
-MAPPING_TYPES = {"dict", "OrderedDict", "WeakKeyDictionary", "defaultdict"}
+MAPPING_TYPES = {
+    "dict",
+    "OrderedDict",
+    "WeakKeyDictionary",
+    "WeakValueDictionary",
+    "defaultdict",
+    "Counter",
+}
+SET_TYPES = {"set", "WeakSet"}
+
+
+def constructed_type(value: ast.expr) -> str:
+    if not isinstance(value, ast.Call):
+        return ""
+    function = value.func
+    return function.attr if isinstance(function, ast.Attribute) else getattr(function, "id", "")
 
 
 def is_mapping_instance(value: ast.expr) -> bool:
     if isinstance(value, (ast.Dict, ast.DictComp)):
         return True
-    if isinstance(value, ast.Call):
-        function = value.func
-        name = function.attr if isinstance(function, ast.Attribute) else getattr(function, "id", "")
-        return name in MAPPING_TYPES
-    return False
+    return constructed_type(value) in MAPPING_TYPES
+
+
+def is_empty_mutable_container(value: ast.expr) -> bool:
+    """``{}``, ``dict()``, ``set()``, ``defaultdict(list)`` and their kin."""
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    name = constructed_type(value)
+    if name not in MAPPING_TYPES | SET_TYPES or value.keywords:
+        return False
+    # defaultdict's first positional argument is the factory, not content.
+    return len(value.args) <= (1 if name == "defaultdict" else 0)
 
 
 def module_level_mapping_caches(tree: ast.Module) -> list[tuple[int, str]]:
@@ -38,10 +65,13 @@ def module_level_mapping_caches(tree: ast.Module) -> list[tuple[int, str]]:
             targets, value = [node.target], node.value
         else:
             continue
-        if not is_mapping_instance(value):
+        empty = is_empty_mutable_container(value)
+        if not (empty or is_mapping_instance(value)):
             continue
         for target in targets:
-            if isinstance(target, ast.Name) and SUSPECT_NAME.search(target.id):
+            if isinstance(target, ast.Name) and (
+                empty or SUSPECT_NAME.search(target.id)
+            ):
                 found.append((node.lineno, target.id))
     return found
 
@@ -54,8 +84,8 @@ def test_no_module_level_mapping_cache_outside_the_cache_package():
         for lineno, name in module_level_mapping_caches(ast.parse(path.read_text())):
             offenders.append(f"{path.relative_to(SOURCE_ROOT)}:{lineno} {name}")
     assert offenders == [], (
-        "module-level dict caches must be LRUCache regions declared in "
-        f"repro/cache/memos.py: {offenders}"
+        "module-level mutable tables must be LRUCache regions declared in "
+        f"repro/cache/memos.py, or per-execution state: {offenders}"
     )
 
 
@@ -69,9 +99,19 @@ def test_the_guard_sees_what_it_is_meant_to_see():
         "POLICY_CHOICES = {'aware': 1}\n"
         "def f():\n"
         "    local_cache = {}\n"
+        "_NAME_TUPLES: dict = {}\n"
+        "_SEEN_SHAPES = set()\n"
+        "_BY_SHAPE = defaultdict(list)\n"
+        "_PLAN_CACHE = {'warm': 1}\n"
+        "KEYWORDS = {'select', 'where'}\n"
+        "EMPTY = ()\n"
     )
     assert module_level_mapping_caches(tree) == [
         (3, "_JOIN_STREAM_MEMO"),
         (4, "_translation_memo"),
         (5, "_SQL_BLOCK_CACHE"),
+        (9, "_NAME_TUPLES"),
+        (10, "_SEEN_SHAPES"),
+        (11, "_BY_SHAPE"),
+        (12, "_PLAN_CACHE"),
     ]

@@ -111,16 +111,10 @@ class TestPlanCacheInteraction:
         assert len(answers) == 4
         assert stats.execution_time == pytest.approx(profiled_stats.execution_time)
 
-    def test_legacy_profile_plan_restores_on_error(self, tiny_lake):
+    def test_profile_plan_restores_on_error(self, tiny_lake):
         """Even an execution that dies mid-stream must restore bindings."""
-        import warnings
-
-        with warnings.catch_warnings():
-            # The legacy module is exercised deliberately here; its
-            # deprecation is asserted in TestDeprecatedProfilerModule.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.core.profiler import profile_plan
         from repro.federation.answers import RunContext
+        from repro.obs import profile_plan
 
         engine = FederatedEngine(tiny_lake)
         plan = engine.plan(TINY_QUERY)
@@ -149,74 +143,6 @@ class TestPlanCacheInteraction:
                 assert_clean(child)
 
         assert_clean(plan.root)
-
-
-class TestDeprecatedProfilerModule:
-    """repro.core.profiler is a compatibility shim for repro.obs."""
-
-    def _fresh_import(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.core.profiler", None)
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            module = importlib.import_module("repro.core.profiler")
-        return module, caught
-
-    def test_import_emits_deprecation_warning(self):
-        __, caught = self._fresh_import()
-        deprecations = [
-            warning
-            for warning in caught
-            if issubclass(warning.category, DeprecationWarning)
-        ]
-        assert deprecations, "importing repro.core.profiler must warn"
-        message = str(deprecations[0].message)
-        assert "repro.core.profiler is deprecated" in message
-        assert "repro.obs" in message
-
-    def test_shim_resolves_to_the_obs_implementations(self):
-        module, __ = self._fresh_import()
-        from repro.obs.instrument import profile_plan
-        from repro.obs.profile import OperatorProfile, ProfileReport
-
-        assert module.profile_plan is profile_plan
-        assert module.OperatorProfile is OperatorProfile
-        assert module.ProfileReport is ProfileReport
-
-    def test_importing_repro_core_does_not_warn(self):
-        """Only the legacy module warns — `import repro.core` stays clean
-        (checked in a pristine interpreter so module caching can't mask it)."""
-        import os
-        import subprocess
-        import sys
-
-        import repro
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
-        clean = subprocess.run(
-            [sys.executable, "-W", "error::DeprecationWarning", "-c", "import repro.core"],
-            env=env,
-            capture_output=True,
-        )
-        assert clean.returncode == 0, clean.stderr.decode()
-        legacy = subprocess.run(
-            [
-                sys.executable,
-                "-W",
-                "error::DeprecationWarning",
-                "-c",
-                "import repro.core.profiler",
-            ],
-            env=env,
-            capture_output=True,
-        )
-        assert legacy.returncode != 0
-        assert b"repro.core.profiler is deprecated" in legacy.stderr
 
 
 class TestReportErgonomics:
