@@ -114,8 +114,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help=(
-            "rows per columnar chunk in batch mode (default: "
-            "REPRO_BATCH_SIZE env var, then the engine default)"
+            "rows per columnar chunk in batch mode (default: the engine default)"
         ),
     )
 

@@ -9,7 +9,6 @@ yielding the answer traces of the paper's Figure 2.
 
 from __future__ import annotations
 
-import os
 from typing import Iterator, TYPE_CHECKING
 
 from ..cache import CacheRegistry, CacheStats, canonicalize_query
@@ -32,17 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a core <-> datalake cycle
 
 
 def _resolve_batch_size(batch_size: int | None) -> int:
-    """Resolve the effective batch size: explicit arg > env var > default."""
+    """The effective batch size: the explicit argument, else the default."""
     if batch_size is None:
-        raw = os.environ.get("REPRO_BATCH_SIZE")
-        if raw is None:
-            return DEFAULT_BATCH_SIZE
-        try:
-            batch_size = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_BATCH_SIZE must be an integer, got {raw!r}"
-            ) from None
+        return DEFAULT_BATCH_SIZE
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
     return batch_size
@@ -241,8 +232,7 @@ class FederatedEngine:
         #: (columnar solution batches on the hot path — same virtual
         #: timeline, faster wall-clock).  Overridable per call.
         self.exec = exec
-        #: Default capacity of one solution batch (None = REPRO_BATCH_SIZE
-        #: env var, falling back to the library default).
+        #: Default capacity of one solution batch (None = the library default).
         self.batch_size = _resolve_batch_size(batch_size)
         #: Default execution runtime: "sequential" (pull-based iterator
         #: chain), "event" (discrete-event scheduler with overlapping
@@ -264,10 +254,8 @@ class FederatedEngine:
         # engines never import repro.optimizer).
         self._observed_stats = None
         self._catalog_stats = None
-        if caches is not None:
-            self.caches = caches
-        else:
-            self.caches = CacheRegistry(
+        if caches is None:
+            caches = CacheRegistry(
                 plan_capacity=plan_cache_size,
                 subresult_capacity=subresult_cache_size,
                 plans_enabled=enable_plan_cache and self.policy.use_plan_cache,
@@ -275,6 +263,21 @@ class FederatedEngine:
                     enable_subresult_cache and self.policy.use_subresult_cache
                 ),
             )
+        else:
+            # A sibling gets a fresh registry shaped like the shared one.
+            enable_plan_cache = caches.plans.enabled
+            enable_subresult_cache = caches.subresults.enabled
+            plan_cache_size = caches.plans.capacity
+            subresult_cache_size = caches.subresults.capacity
+        self.caches = caches
+        #: The cache arguments as given, for :meth:`_sibling` (the registry
+        #: itself only knows them ANDed with this engine's policy).
+        self._cache_settings = {
+            "enable_plan_cache": enable_plan_cache,
+            "enable_subresult_cache": enable_subresult_cache,
+            "plan_cache_size": plan_cache_size,
+            "subresult_cache_size": subresult_cache_size,
+        }
 
     @property
     def observed_stats(self):
@@ -549,24 +552,25 @@ class FederatedEngine:
 
     def with_policy(self, policy: PlanPolicy) -> "FederatedEngine":
         """A sibling engine differing only in policy."""
-        return FederatedEngine(
-            self.lake,
-            policy,
-            self.network,
-            self.cost_model,
-            runtime=self.runtime,
-            exec=self.exec,
-            batch_size=self.batch_size,
-        )
+        return self._sibling(policy, self.network)
 
     def with_network(self, network: NetworkSetting) -> "FederatedEngine":
         """A sibling engine differing only in network setting."""
+        return self._sibling(self.policy, network)
+
+    def _sibling(self, policy: PlanPolicy, network: NetworkSetting) -> "FederatedEngine":
+        """This engine's every constructor setting under *policy* and
+        *network*, with a fresh cache registry of the same capacities and
+        switches — never a shared one, whose counters would merge."""
         return FederatedEngine(
             self.lake,
-            self.policy,
+            policy,
             network,
             self.cost_model,
+            debug_validate=self.debug_validate,
             runtime=self.runtime,
+            thread_workers=self.thread_workers,
             exec=self.exec,
             batch_size=self.batch_size,
+            **self._cache_settings,
         )

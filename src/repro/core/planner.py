@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
-from weakref import ref
 
 from ..exceptions import PlanningError
 from ..federation.endpoints import RDFSource, RelationalSource
@@ -36,12 +35,14 @@ from ..federation.operators import (
     SymmetricHashJoin,
     Union,
 )
-from ..federation.wrappers import SPARQLWrapper, SQLWrapper
+from ..federation.wrappers import SPARQLWrapper, SQLWrapper, StarRequest
+from ..mapping.translator import translate_stars
 from ..network.delays import NetworkSetting
 from ..sparql.algebra import Filter, SelectQuery
 from ..sparql.parser import parse_query
 from .decomposer import (
     Decomposition,
+    StarSubquery,
     decompose_star_shaped,
     decompose_triple_wise,
 )
@@ -49,11 +50,12 @@ from .heuristics import (
     FilterDecision,
     MergeDecision,
     MergeGroup,
+    StarWithMapping,
     place_filters,
     push_down_joins,
 )
 from .policy import DecompositionKind, JoinStrategy, PlanPolicy
-from .source_selection import SelectedStar, select_sources
+from .source_selection import SelectedStar, SourceCandidate, select_sources
 from .statskeys import join_signature, unit_signature_for
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a core <-> datalake cycle
@@ -77,11 +79,6 @@ class FederatedPlan:
     #: (:mod:`repro.oracle.invariants`) audits SSQ coverage and the
     #: heuristics' preconditions from this log.
     units: list[MergeGroup | SelectedStar] = field(default_factory=list)
-    #: The lake's catalog version vector at planning time.  A cached plan
-    #: is only ever served while the lake still reports this exact vector
-    #: (the plan-cache key embeds it), so heuristic decisions made against
-    #: a physical design can never outlive that design.
-    catalog_version: tuple = ()
 
     def explain(self) -> str:
         """Figure-1-style plan rendering with the heuristics' reasoning."""
@@ -206,7 +203,6 @@ class FederatedPlanner:
             filter_decisions=filter_decisions,
             notes=notes,
             units=units,
-            catalog_version=self.lake.catalog_version(),
         )
         if self.debug_validate:
             # Imported lazily: the oracle package depends on core, not the
@@ -322,65 +318,30 @@ class FederatedPlanner:
         filter_decisions: list[tuple[str, FilterDecision]],
     ) -> _PlanUnit:
         if isinstance(unit, MergeGroup):
-            return self._build_merged_unit(unit, filter_decisions)
-        return self._build_star_unit(unit, filter_decisions)
-
-    def _build_merged_unit(
-        self,
-        group: MergeGroup,
-        filter_decisions: list[tuple[str, FilterDecision]],
-    ) -> _PlanUnit:
-        source = self.lake.source(group.source_id)
-        assert isinstance(source, RelationalSource)
-        stars = group.stars_with_mappings()
-        filters: list[Filter] = []
-        for star in group.stars:
-            filters.extend(star.filters)
-        filter_plan = place_filters(
-            filters,
-            stars,
-            group.source_id,
-            self.lake.physical_catalog,
-            self.policy,
-            self.network,
-            filter_advisor=self.filter_advisor,
-        )
-        filter_decisions.extend(
-            (group.source_id, decision) for decision in filter_plan.decisions
-        )
-        variables: set[str] = set()
-        for star in group.stars:
-            variables |= star.variable_names()
-        wrapper = SQLWrapper(source)
-        translation = wrapper.translate(stars, pushed_filters=filter_plan.pushed)
-        operator = ServiceNode(
-            source_id=group.source_id,
-            description=f"SQL: {translation.sql}",
-            runner=lambda context, w=wrapper, t=translation: w.execute(t, context),
-            engine_filters=filter_plan.at_engine,
-            restricted_runner=(
-                lambda context, variable, terms, w=wrapper, t=translation: w.execute(
-                    t.restricted(variable, terms), context
+            # Heuristic 1 merged these stars into one relational sub-query.
+            stars = unit.stars_with_mappings()
+            operator = self._sql_leaf(unit.source_id, stars, filter_decisions)
+            estimate = min(
+                float(self.lake.physical_catalog.table_rows(unit.source_id, mapping.table))
+                for __, mapping in stars
+            )
+            _annotate(operator, estimate)
+            variables = set(operator.variables)
+        else:
+            star = unit.star
+            branches = [
+                _annotate(
+                    self._star_leaf(star, candidate, filter_decisions),
+                    candidate.cardinality,
                 )
-            ),
-            variables=tuple(sorted(variables)),
-            batch_runner=(
-                lambda context, w=wrapper, t=translation: w.execute_batch(t, context)
-            ),
-            restricted_batch_runner=(
-                lambda context, variable, terms, w=wrapper, t=translation:
-                w.execute_batch(t.restricted(variable, terms), context)
-            ),
-            data_version_provider=(
-                lambda s=source: (ref(s.database), s.database.data_version)
-            ),
-        )
-        estimate = min(
-            float(self.lake.physical_catalog.table_rows(group.source_id, mapping.table))
-            for __, mapping in stars
-        )
-        _annotate(operator, estimate)
-        signature = unit_signature_for(group)
+                for candidate in unit.candidates
+            ]
+            operator = branches[0] if len(branches) == 1 else _annotate(
+                Union(branches), sum(branch.estimated_rows or 0.0 for branch in branches)
+            )
+            estimate = float(unit.estimated_cardinality())
+            variables = star.variable_names()
+        signature = unit_signature_for(unit)
         operator.stats_signature = signature
         return _PlanUnit(
             operator=operator,
@@ -389,119 +350,55 @@ class FederatedPlanner:
             signature=signature,
         )
 
-    def _build_star_unit(
+    def _star_leaf(
         self,
-        selection: SelectedStar,
+        star: StarSubquery,
+        candidate: SourceCandidate,
         filter_decisions: list[tuple[str, FilterDecision]],
-    ) -> _PlanUnit:
-        branches: list[FedOperator] = []
-        for candidate in selection.candidates:
-            source = self.lake.source(candidate.source_id)
-            if candidate.kind == "rdb":
-                assert isinstance(source, RelationalSource)
-                stars = [(selection.star, candidate.class_mapping)]
-                filter_plan = place_filters(
-                    selection.star.filters,
-                    stars,
-                    candidate.source_id,
-                    self.lake.physical_catalog,
-                    self.policy,
-                    self.network,
-                    filter_advisor=self.filter_advisor,
-                )
-                filter_decisions.extend(
-                    (candidate.source_id, decision) for decision in filter_plan.decisions
-                )
-                wrapper = SQLWrapper(source)
-                translation = wrapper.translate(stars, pushed_filters=filter_plan.pushed)
-                branches.append(
-                    _annotate(
-                        ServiceNode(
-                            source_id=candidate.source_id,
-                            description=f"SQL: {translation.sql}",
-                            runner=lambda context, w=wrapper, t=translation: w.execute(t, context),
-                            engine_filters=filter_plan.at_engine,
-                            restricted_runner=(
-                                lambda context, variable, terms, w=wrapper, t=translation:
-                                w.execute(t.restricted(variable, terms), context)
-                            ),
-                            variables=tuple(sorted(selection.star.variable_names())),
-                            batch_runner=(
-                                lambda context, w=wrapper, t=translation:
-                                w.execute_batch(t, context)
-                            ),
-                            restricted_batch_runner=(
-                                lambda context, variable, terms, w=wrapper, t=translation:
-                                w.execute_batch(t.restricted(variable, terms), context)
-                            ),
-                            data_version_provider=(
-                                lambda s=source: (ref(s.database), s.database.data_version)
-                            ),
-                        ),
-                        candidate.cardinality,
-                    )
-                )
-            else:
-                assert isinstance(source, RDFSource)
-                wrapper = SPARQLWrapper(source)
-                star = selection.star
-                patterns = " . ".join(p.n3().rstrip(" .") for p in star.patterns)
-                branches.append(
-                    _annotate(
-                        ServiceNode(
-                            source_id=candidate.source_id,
-                            description=f"SPARQL: {{ {patterns} }}",
-                            runner=lambda context, w=wrapper, s=star: w.execute(
-                                s, context, pushed_filters=s.filters
-                            ),
-                            restricted_runner=(
-                                lambda context, variable, terms, w=wrapper, s=star:
-                                w.execute(
-                                    s,
-                                    context,
-                                    pushed_filters=s.filters,
-                                    bindings=(variable, frozenset(terms)),
-                                )
-                            ),
-                            variables=tuple(sorted(star.variable_names())),
-                            batch_runner=(
-                                lambda context, w=wrapper, s=star: w.execute_batch(
-                                    s, context, pushed_filters=s.filters
-                                )
-                            ),
-                            restricted_batch_runner=(
-                                lambda context, variable, terms, w=wrapper, s=star:
-                                w.execute_batch(
-                                    s,
-                                    context,
-                                    pushed_filters=s.filters,
-                                    bindings=(variable, frozenset(terms)),
-                                )
-                            ),
-                            # The description renders only the patterns, so
-                            # the pushed star filters (which shape the data)
-                            # must enter the signature here.
-                            data_version_provider=(
-                                lambda s=source, st=star: (
-                                    ref(s.graph),
-                                    s.graph.version,
-                                    tuple(f.expression.n3() for f in st.filters),
-                                )
-                            ),
-                        ),
-                        candidate.cardinality,
-                    )
-                )
-        operator: FedOperator = branches[0] if len(branches) == 1 else _annotate(
-            Union(branches), sum(branch.estimated_rows or 0.0 for branch in branches)
+    ) -> ServiceNode:
+        """One star at one candidate source, in that source's language."""
+        if candidate.kind == "rdb":
+            # A single relational candidate is a merge group of one.
+            stars = [(star, candidate.class_mapping)]
+            return self._sql_leaf(candidate.source_id, stars, filter_decisions)
+        source = self.lake.source(candidate.source_id)
+        assert isinstance(source, RDFSource)
+        return ServiceNode(
+            SPARQLWrapper(source),
+            StarRequest(star, tuple(star.filters)),
+            variables=tuple(sorted(star.variable_names())),
         )
-        signature = unit_signature_for(selection)
-        operator.stats_signature = signature
-        return _PlanUnit(
-            operator=operator,
-            variables=selection.star.variable_names(),
-            estimate=float(selection.estimated_cardinality()),
-            signature=signature,
+
+    def _sql_leaf(
+        self,
+        source_id: str,
+        stars: list[StarWithMapping],
+        filter_decisions: list[tuple[str, FilterDecision]],
+    ) -> ServiceNode:
+        """Place the stars' filters (Heuristic 2), translate stars + pushed
+        filters into one SQL statement, keep the rest at the engine."""
+        source = self.lake.source(source_id)
+        assert isinstance(source, RelationalSource)
+        filters: list[Filter] = []
+        variables: set[str] = set()
+        for star, __ in stars:
+            filters.extend(star.filters)
+            variables |= star.variable_names()
+        filter_plan = place_filters(
+            filters,
+            stars,
+            source_id,
+            self.lake.physical_catalog,
+            self.policy,
+            self.network,
+            filter_advisor=self.filter_advisor,
+        )
+        filter_decisions.extend((source_id, decision) for decision in filter_plan.decisions)
+        return ServiceNode(
+            SQLWrapper(source),
+            translate_stars(stars, pushed_filters=filter_plan.pushed),
+            engine_filters=filter_plan.at_engine,
+            variables=tuple(sorted(variables)),
         )
 
     # -- join ordering -------------------------------------------------------------
@@ -543,7 +440,6 @@ class FederatedPlanner:
             self.policy.join_strategy is JoinStrategy.DEPENDENT
             and len(join_variables) == 1
             and isinstance(nxt.operator, ServiceNode)
-            and nxt.operator.supports_restriction
         )
         if use_dependent:
             return DependentJoin(

@@ -15,7 +15,7 @@ from .operators import (
     SymmetricHashJoin,
     Union,
 )
-from .wrappers import SPARQLWrapper, SQLWrapper
+from .wrappers import SPARQLWrapper, SQLWrapper, StarRequest
 
 __all__ = [
     "DataSource",
@@ -36,6 +36,7 @@ __all__ = [
     "ServiceNode",
     "Solution",
     "SourceStats",
+    "StarRequest",
     "SymmetricHashJoin",
     "Union",
 ]

@@ -30,7 +30,7 @@ Solution = dict[str, Term]
 EXEC_MODES = ("row", "batch")
 
 #: Default rows per columnar batch chunk (overridable per engine via
-#: ``batch_size=``, the ``--batch-size`` flag, or ``REPRO_BATCH_SIZE``).
+#: ``batch_size=`` or the ``--batch-size`` flag).
 DEFAULT_BATCH_SIZE = 256
 
 #: How many network-delay samples a batch-mode context draws per RNG refill.

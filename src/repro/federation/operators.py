@@ -19,7 +19,7 @@ the columnar ``execute_batch`` loops re-implement its charge sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..cache.memos import join_streams
 from ..rdf.terms import Term
@@ -35,6 +35,10 @@ from .batch import (
     SolutionBatch,
     single_solution_batch,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..mapping.translator import TranslationResult
+    from .wrappers import SPARQLWrapper, SQLWrapper, StarRequest
 
 
 class Done(Exception):
@@ -168,33 +172,28 @@ class FedOperator:
 
 @dataclass
 class ServiceNode(FedOperator):
-    """A leaf: one sub-query shipped to one source wrapper.
+    """A leaf: one sub-query *request* shipped to one source *wrapper*.
 
-    ``runner`` encapsulates the wrapper call; ``description`` renders the
-    native query for explain output (Figure-1-style plans).
-    ``restricted_runner``, when provided by the planner, re-issues the
-    sub-query with an IN-restriction on one variable — the capability the
-    dependent (bound) join needs.
+    The leaf is data.  ``wrapper`` names the source and runs requests
+    (``execute(request, context)`` / ``execute_batch``); ``request`` is the
+    sub-query in the source's language, rendering its own native text
+    (Figure-1-style plans), key parts and span arguments.
+    ``request.restricted(variable, terms)`` is the same sub-query with an
+    IN-restriction on one variable — what the dependent (bound) join ships
+    per block.  Wrapper methods are looked up when the leaf executes: a
+    plan never holds a bound method.
     """
 
-    source_id: str
-    description: str
-    runner: Callable[[RunContext], Iterator[Solution]]
+    wrapper: SQLWrapper | SPARQLWrapper
+    request: TranslationResult | StarRequest
     engine_filters: list[Filter] = field(default_factory=list)
-    restricted_runner: Callable[..., Iterator[Solution]] | None = None
     #: Variable names this sub-query can bind (set by the planner; the
     #: plan-invariant checker uses it to verify join orderings).
     variables: tuple[str, ...] = ()
-    #: Columnar twins of ``runner``/``restricted_runner`` (set by the
-    #: planner): same wrapper call, but streaming batch handles.
-    batch_runner: Callable[[RunContext], Iterator[Handle]] | None = None
-    restricted_batch_runner: Callable[..., Iterator[Handle]] | None = None
-    #: Returns ``(weakref to the backing store, version)`` (set by the
-    #: planner).  The reference pins identity (two lakes may both be at
-    #: version 0) without keeping a dropped store alive through the
-    #: join-stream memo, the version invalidates on mutation; together with
-    #: the rendered native query they make :meth:`data_signature` sound.
-    data_version_provider: Callable[[], object] | None = None
+
+    @property
+    def source_id(self) -> str:
+        return self.wrapper.source_id
 
     def kernel(self, context: RunContext) -> Kernel:
         """The engine-side filters of this sub-query (pass-through when none)."""
@@ -202,65 +201,35 @@ class ServiceNode(FedOperator):
             return Kernel(context, self)
         return _FilterKernel(context, self, self.engine_filters)
 
-    def _filtered(self, context: RunContext, stream: Iterator) -> Iterator[Solution]:
-        if not self.engine_filters:
-            return stream
-        return _drive(self.kernel(context), [stream])
+    def execute(self, context: RunContext, request=None) -> Iterator[Solution]:
+        """Run *request* (default: the leaf's own) through the wrapper."""
+        stream = self.wrapper.execute(request or self.request, context)
+        if self.engine_filters:
+            stream = _drive(self.kernel(context), [stream])
+        yield from stream
 
-    def execute(self, context: RunContext) -> Iterator[Solution]:
-        yield from self._filtered(context, self.runner(context))
-
-    def execute_batch(self, context: RunContext) -> Iterator[Handle]:
-        return self._handles(context, self.batch_runner, self.execute)
-
-    def _handles(
-        self, context: RunContext, batch_runner, rows, *restriction
-    ) -> Iterator[Handle]:
+    def execute_batch(self, context: RunContext, request=None) -> Iterator[Handle]:
         # Not a generator function: the unfiltered fast path hands the
-        # runner's iterator straight to the consumer, so per-row pulls skip
+        # wrapper's iterator straight to the consumer, so per-row pulls skip
         # two delegation frames on the hot path.
-        if batch_runner is None:
-            return _adapt(rows(context, *restriction))
-        stream = batch_runner(context, *restriction)
+        stream = self.wrapper.execute_batch(request or self.request, context)
         if not self.engine_filters:
             return stream
         return _filter_handles(self.kernel(context), context, stream)
 
-    @property
-    def supports_restriction(self) -> bool:
-        return self.restricted_runner is not None
-
-    def execute_restricted(
-        self, context: RunContext, variable: str, terms: list
-    ) -> Iterator[Solution]:
-        """Run the sub-query restricted to ``variable IN terms``."""
-        if self.restricted_runner is None:
-            raise RuntimeError(f"service {self.source_id!r} is not restrictable")
-        yield from self._filtered(
-            context, self.restricted_runner(context, variable, terms)
-        )
-
-    def execute_restricted_batch(
-        self, context: RunContext, variable: str, terms: list
-    ) -> Iterator[Handle]:
-        """Columnar twin of :meth:`execute_restricted`."""
-        twins = self.restricted_batch_runner, self.execute_restricted
-        return self._handles(context, *twins, variable, terms)
-
-    def data_signature(self, context: RunContext) -> tuple | None:
-        provider = self.data_version_provider
-        if provider is None:
-            return None
+    def data_signature(self, context: RunContext) -> tuple:
+        # The request's key parts serialize everything that shapes the data
+        # at the source; the wrapper's (store, version) pair pins which data.
         return (
             "svc",
             self.source_id,
-            self.description,
+            self.request.key_parts,
             tuple(f.expression.n3() for f in self.engine_filters),
-            provider(),
+            self.wrapper.data_version(),
         )
 
     def label(self) -> str:
-        base = f"Service[{self.source_id}] {self.description}"
+        base = f"Service[{self.source_id}] {self.request.text}"
         if self.engine_filters:
             rendered = " AND ".join(f.expression.n3() for f in self.engine_filters)
             base += f" | engine-filter({rendered})"
@@ -902,9 +871,8 @@ class DependentJoin(FedOperator):
             # A partial block means the outer input ended: it is the last.
             final = not kernel.full
             terms = kernel.seal()
-            for inner_solution in self.inner.execute_restricted(
-                context, self.join_variable, terms
-            ):
+            request = self.inner.request.restricted(self.join_variable, terms)
+            for inner_solution in self.inner.execute(context, request):
                 yield from kernel.step(kernel.INNER, inner_solution)
             if final:
                 return
@@ -948,9 +916,8 @@ class DependentJoin(FedOperator):
                     clock_sleep(hash_insert)
                     stats.engine_cost += hash_insert
                 by_term.setdefault(term, []).append(handle)
-            for ibatch, iidx in self.inner.execute_restricted_batch(
-                context, variable, terms
-            ):
+            request = self.inner.request.restricted(variable, terms)
+            for ibatch, iidx in self.inner.execute_batch(context, request):
                 if hash_probe > 0:
                     clock_sleep(hash_probe)
                     stats.engine_cost += hash_probe

@@ -1,14 +1,15 @@
-"""Source wrappers: translate sub-queries and stream answers with delays.
+"""Source wrappers: run one sub-query request and stream answers with delays.
 
 The wrapper is where the paper injects network latency: *"Network delays are
 simulated within the SQL wrapper of Ontario; delaying the retrieval of the
 next answer from the source."*  Both wrappers here follow that design:
 
-* :class:`SQLWrapper` translates the star(s) to SQL, executes them on the
+* :class:`SQLWrapper` executes the stars' SQL translation on the
   in-process relational engine (pricing the engine's operation counts into
   virtual source time), and charges one network delay per answer retrieved.
-* :class:`SPARQLWrapper` evaluates the star over a native RDF source with
-  the local BGP matcher, charging triple-lookup costs and per-answer delays.
+* :class:`SPARQLWrapper` evaluates a :class:`StarRequest` over a native RDF
+  source with the local BGP matcher, charging triple-lookup costs and
+  per-answer delays.
 
 A wrapper execution is two steps.  **Fetch** is pure data work and yields
 one :class:`~repro.cache.SourceBlock`; **charge** (:func:`_charge`, the one
@@ -29,8 +30,10 @@ events they charged.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator, TYPE_CHECKING
+from weakref import ref
 
 from ..cache import SourceBlock, sparql_result_key, sql_result_key
 from ..cache.memos import sql_blocks
@@ -38,10 +41,10 @@ from ..exceptions import WrapperError
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a core <-> federation cycle
     from ..core.decomposer import StarSubquery
-from ..mapping.rml import ClassMapping
-from ..mapping.translator import TranslationResult, translate_stars
+from ..mapping.translator import TranslationResult
 from ..relational.meter import OperationMeter
 from ..relational.vexecutor import execute_priced
+from ..rdf.terms import Term
 from ..sparql.algebra import Filter
 from ..sparql.bgp import evaluate_bgp, evaluate_bgp_columns
 from ..sparql.expressions import compile_holds
@@ -220,10 +223,11 @@ class _Wrapper:
     publishes its block only once the source exhausted it: an
     early-terminated pull (LIMIT) never reaches the ``put``.
 
-    A *request* is the subclass's positional description of one sub-query;
-    subclasses provide ``_key(*request)``, ``_fetch(context, *request)``,
-    ``_cold_rows(context, record, *request)`` (a generator returning the
-    block it recorded, if asked to) and ``_span_args(*request)``.
+    A *request* is one sub-query as a value (:class:`TranslationResult` or
+    :class:`StarRequest`) that renders its own text, key parts and span
+    arguments; subclasses provide ``_key(request)``, ``_fetch(context,
+    request)`` and ``_cold_rows(context, record, request)`` (a generator
+    returning the block it recorded, if asked to).
     """
 
     kind = ""
@@ -240,13 +244,13 @@ class _Wrapper:
         """Names this wrapper's spans and batch-fill metrics."""
         return f"{self.kind} {self.source_id}"
 
-    def _lookup(self, context: RunContext, request: tuple):
+    def _lookup(self, context: RunContext, request):
         """``(cache, key, block)``; cache is None when wrappers run uncached."""
         caches = context.caches
         if caches is None or not caches.subresults.enabled:
             return None, None, None
         subresults = caches.subresults
-        key = self._key(*request)
+        key = self._key(request)
         block = subresults.get(key)
         if block is None:
             context.stats.subresult_cache_misses += 1
@@ -258,18 +262,18 @@ class _Wrapper:
             subresults.put(key, block)
         return subresults, key, block
 
-    def _handles(self, context: RunContext, *request) -> Iterator[Handle]:
+    def _handles(self, context: RunContext, request) -> Iterator[Handle]:
         source_id = self.source_id
         subresults, key, block = self._lookup(context, request)
         context.charge_request(source_id)
         cached = block is not None
         if not cached:
-            block = self._fetch(context, *request)
+            block = self._fetch(context, request)
         yield from _charge(block, context, source_id, self._owner)
         if subresults is not None and not cached:
             subresults.put(key, block)
 
-    def _rows(self, context: RunContext, *request) -> Iterator[Solution]:
+    def _rows(self, context: RunContext, request) -> Iterator[Solution]:
         source_id = self.source_id
         subresults, key, block = self._lookup(context, request)
         context.charge_request(source_id)
@@ -277,11 +281,11 @@ class _Wrapper:
             for batch, idx in _charge(block, context, source_id, self._owner):
                 yield batch.materialize(idx)
             return
-        block = yield from self._cold_rows(context, subresults is not None, *request)
+        block = yield from self._cold_rows(context, subresults is not None, request)
         if subresults is not None:
             subresults.put(key, block)
 
-    def _stream(self, context: RunContext, handles: bool, *request):
+    def _stream(self, context: RunContext, handles: bool, request):
         """The (optionally observed) stream of one request.
 
         Not a generator function: nothing runs until the returned stream is
@@ -289,18 +293,18 @@ class _Wrapper:
         the consumer, skipping a delegation frame per pulled row.
         """
         if handles:
-            stream = self._handles(context, *request)
+            stream = self._handles(context, request)
         elif context.exec_mode == "batch":
             stream = (
                 batch.materialize(idx)
-                for batch, idx in self._handles(context, *request)
+                for batch, idx in self._handles(context, request)
             )
         else:
-            stream = self._rows(context, *request)
+            stream = self._rows(context, request)
         if context.obs is None:
             return stream
         return _observed_stream(
-            context, self.source_id, self._owner, stream, **self._span_args(*request)
+            context, self.source_id, self._owner, stream, **request.span_args
         )
 
 
@@ -310,13 +314,13 @@ class SQLWrapper(_Wrapper):
     kind = "SQL"
     source: RelationalSource
 
-    def translate(
-        self,
-        stars: list[tuple[StarSubquery, ClassMapping]],
-        pushed_filters: list[Filter] | None = None,
-    ) -> TranslationResult:
-        """Translate stars (merged when several) into one SQL statement."""
-        return translate_stars(stars, pushed_filters=pushed_filters)
+    def data_version(self) -> tuple:
+        """``(weakref to the database, its data version)``: the reference
+        pins identity (two lakes may both be at version 0) without keeping a
+        dropped store alive through the join-stream memo, the version
+        invalidates on mutation."""
+        database = self.source.database
+        return ref(database), database.data_version
 
     def execute(
         self,
@@ -358,12 +362,9 @@ class SQLWrapper(_Wrapper):
         """
         return self._stream(context, True, translation)
 
-    def _span_args(self, translation: TranslationResult) -> dict:
-        return {"sql": translation.sql}
-
     def _key(self, translation: TranslationResult) -> tuple:
         return sql_result_key(
-            self.source_id, translation.sql, self.source.database.data_version
+            self.source_id, *translation.key_parts, self.source.database.data_version
         )
 
     def _cold_rows(
@@ -453,15 +454,61 @@ class SQLWrapper(_Wrapper):
         return block
 
 
-def _survives(
-    solution, bindings: tuple[str, frozenset] | None, tests: list
-) -> bool:
-    """True unless the VALUES restriction or a pushed filter drops the match."""
-    if bindings is not None:
-        variable, terms = bindings
-        if solution.get(variable) not in terms:
-            return False
-    return all(test(solution) for test in tests)
+@dataclass(frozen=True)
+class StarRequest:
+    """One star-shaped sub-query in a SPARQL source's native form.
+
+    The sibling of :class:`TranslationResult`: the star's patterns, the
+    filters evaluated at the source, and optionally ``bindings`` — one
+    variable restricted to a set of terms, the SPARQL equivalent of a
+    VALUES clause, which the dependent (bound) join adds per block.
+    Restricted-out solutions are dropped *at the source*: they never cross
+    the network.
+    """
+
+    star: StarSubquery
+    filters: tuple[Filter, ...]
+    bindings: tuple[str, frozenset] | None = None
+
+    def restricted(self, variable: str, terms: list[Term]) -> "StarRequest":
+        """A copy of this request with ``variable`` bound to *terms*."""
+        return replace(self, bindings=(variable, frozenset(terms)))
+
+    @cached_property
+    def patterns(self) -> str:
+        """The patterns' text in plan labels and spans, rendered once."""
+        return " . ".join(p.n3().rstrip(" .") for p in self.star.patterns)
+
+    @property
+    def text(self) -> str:
+        """The Figure-1 rendering of this request in plan labels."""
+        return f"SPARQL: {{ {self.patterns} }}"
+
+    @cached_property
+    def key_parts(self) -> tuple:
+        """The native-query components of the sub-result key, rendered once:
+        patterns, pushed filters, and the restriction as a sorted tuple (so
+        term order and duplicates never split a key)."""
+        bindings = self.bindings
+        return (
+            " . ".join(pattern.n3() for pattern in self.star.patterns),
+            " && ".join(f.n3() for f in self.filters),
+            None
+            if bindings is None
+            else (bindings[0], tuple(sorted(term.n3() for term in bindings[1]))),
+        )
+
+    @property
+    def span_args(self) -> dict:
+        return {"patterns": self.patterns, "restricted": self.bindings is not None}
+
+    def survives(self, solution, tests: list) -> bool:
+        """True unless the restriction or a pushed filter drops the match."""
+        if self.bindings is not None:
+            variable, terms = self.bindings
+            if solution.get(variable) not in terms:
+                return False
+        return all(test(solution) for test in tests)
 
 
 class SPARQLWrapper(_Wrapper):
@@ -470,76 +517,45 @@ class SPARQLWrapper(_Wrapper):
     kind = "SPARQL"
     source: RDFSource
 
-    def execute(
-        self,
-        star: StarSubquery,
-        context: RunContext,
-        pushed_filters: list[Filter] | None = None,
-        bindings: tuple[str, frozenset] | None = None,
-    ) -> Iterator[Solution]:
-        """Evaluate the star's BGP over the graph, streaming solutions.
+    def data_version(self) -> tuple:
+        """``(weakref to the graph, its version)``; see :class:`SQLWrapper`."""
+        graph = self.source.graph
+        return ref(graph), graph.version
 
-        ``bindings`` restricts one variable to a set of terms — the SPARQL
-        equivalent of a VALUES clause, used by the dependent (bound) join.
-        Restricted-out solutions are filtered *at the source*: they never
-        cross the network.
+    def execute(self, request: StarRequest, context: RunContext) -> Iterator[Solution]:
+        """Evaluate the star's BGP over the graph, streaming solutions.
 
         Under ``exec="batch"`` the columnar pipeline runs underneath and
         handles are materialized back into dicts (event/thread entry point);
         the charge sequence is identical either way.
         """
-        return self._stream(context, False, star, pushed_filters, bindings)
+        return self._stream(context, False, request)
 
     def execute_batch(
-        self,
-        star: StarSubquery,
-        context: RunContext,
-        pushed_filters: list[Filter] | None = None,
-        bindings: tuple[str, frozenset] | None = None,
+        self, request: StarRequest, context: RunContext
     ) -> Iterator[Handle]:
         """Evaluate the star and stream *batch handles* (columnar hot path)."""
-        return self._stream(context, True, star, pushed_filters, bindings)
+        return self._stream(context, True, request)
 
-    def _span_args(self, star: StarSubquery, pushed_filters, bindings) -> dict:
-        return {
-            "patterns": " . ".join(p.n3().rstrip(" .") for p in star.patterns),
-            "restricted": bindings is not None,
-        }
-
-    def _key(
-        self,
-        star: StarSubquery,
-        pushed_filters: list[Filter] | None,
-        bindings: tuple[str, frozenset] | None,
-    ) -> tuple:
+    def _key(self, request: StarRequest) -> tuple:
         return sparql_result_key(
-            self.source_id,
-            " . ".join(pattern.n3() for pattern in star.patterns),
-            " && ".join(f.n3() for f in pushed_filters or []),
-            None
-            if bindings is None
-            else (bindings[0], tuple(sorted(term.n3() for term in bindings[1]))),
-            self.source.graph.version,
+            self.source_id, *request.key_parts, self.source.graph.version
         )
 
     def _cold_rows(
-        self,
-        context: RunContext,
-        record: bool,
-        star: StarSubquery,
-        pushed_filters: list[Filter] | None,
-        bindings: tuple[str, frozenset] | None,
+        self, context: RunContext, record: bool, request: StarRequest
     ) -> Iterator[Solution]:
         source_id = self.source_id
         cost_model = context.cost_model
-        lookup_cost = cost_model.rdf_triple_lookup * len(star.patterns)
-        tests = [compile_holds(f.expression) for f in pushed_filters or []]
+        patterns = request.star.patterns
+        lookup_cost = cost_model.rdf_triple_lookup * len(patterns)
+        tests = [compile_holds(f.expression) for f in request.filters]
         names: tuple[str, ...] = ()
         rows: list[tuple | None] = []
-        for solution in evaluate_bgp(self.source.graph, star.patterns):
+        for solution in evaluate_bgp(self.source.graph, patterns):
             # Each solution required one lookup per triple pattern (amortized).
             context.charge_source(source_id, lookup_cost)
-            kept = _survives(solution, bindings, tests)
+            kept = request.survives(solution, tests)
             if record:
                 names = names or tuple(solution)
                 rows.append(tuple(solution.values()) if kept else None)
@@ -557,13 +573,7 @@ class SPARQLWrapper(_Wrapper):
             output_cost=cost_model.rdf_output_row,
         )
 
-    def _fetch(
-        self,
-        context: RunContext,
-        star: StarSubquery,
-        pushed_filters: list[Filter] | None,
-        bindings: tuple[str, frozenset] | None,
-    ) -> SourceBlock:
+    def _fetch(self, context: RunContext, request: StarRequest) -> SourceBlock:
         """Evaluate the star eagerly into a block (no clock or RNG involved).
 
         Matching, restriction/filter checks and chunking are pure data
@@ -571,18 +581,17 @@ class SPARQLWrapper(_Wrapper):
         charge loop, exactly like row mode.
         """
         cost_model = context.cost_model
-        lookup_cost = cost_model.rdf_triple_lookup * len(star.patterns)
+        patterns = request.star.patterns
+        lookup_cost = cost_model.rdf_triple_lookup * len(patterns)
         batch_size = context.batch_size
-        tests = [compile_holds(f.expression) for f in pushed_filters or []]
-        columnar = evaluate_bgp_columns(self.source.graph, star.patterns)
+        tests = [compile_holds(f.expression) for f in request.filters]
+        columnar = evaluate_bgp_columns(self.source.graph, patterns)
         if columnar is None:
             # Not a star the columnar matcher supports: generic evaluator.
-            solutions = list(evaluate_bgp(self.source.graph, star.patterns))
+            solutions = list(evaluate_bgp(self.source.graph, patterns))
             count = len(solutions)
             rows = [
-                tuple(solution.values())
-                if _survives(solution, bindings, tests)
-                else None
+                tuple(solution.values()) if request.survives(solution, tests) else None
                 for solution in solutions
             ]
             names = tuple(solutions[0]) if solutions else ()
@@ -591,8 +600,8 @@ class SPARQLWrapper(_Wrapper):
             names, columns = columnar
             count = len(columns[0]) if columns else 0
             kept: "list[int] | range" = range(count)
-            if bindings is not None:
-                variable, terms = bindings
+            if request.bindings is not None:
+                variable, terms = request.bindings
                 if variable in names:
                     bound = columns[names.index(variable)]
                     kept = [i for i in kept if bound[i] in terms]

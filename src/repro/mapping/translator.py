@@ -15,6 +15,7 @@ optimized form directly (one flat join over base tables).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..cache.memos import term_decoders, translations
 from ..exceptions import TranslationError
@@ -127,15 +128,38 @@ def _term_memo(binding: VariableBinding) -> dict[SQLValue, Term | None]:
 
 @dataclass
 class TranslationResult:
-    """The SQL statement plus the recipe to rebuild solution mappings."""
+    """The SQL statement plus the recipe to rebuild solution mappings.
+
+    This is the *request* a relational plan leaf holds (its SPARQL sibling
+    is :class:`repro.federation.wrappers.StarRequest`): immutable once
+    built, shared through the ``translations`` memo, and rendered once.
+    """
 
     statement: SelectStatement
     outputs: list[VariableBinding]
     pushed_filters: list[Filter] = field(default_factory=list)
 
-    @property
+    @cached_property
     def sql(self) -> str:
+        """The native query text, rendered on first use and then kept: the
+        sub-result key, the ``sql_blocks`` key, span arguments, plan labels
+        and error messages all read this one string."""
         return self.statement.sql()
+
+    @property
+    def text(self) -> str:
+        """The Figure-1 rendering of this request in plan labels."""
+        return f"SQL: {self.sql}"
+
+    @property
+    def key_parts(self) -> tuple:
+        """The native-query components of the sub-result key: the SQL text
+        already serializes stars, pushed filters and any IN restriction."""
+        return (self.sql,)
+
+    @property
+    def span_args(self) -> dict:
+        return {"sql": self.sql}
 
     def restricted(self, variable: str, terms: list[Term]) -> "TranslationResult":
         """A copy of this translation with ``variable IN (terms)`` added.

@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 from typing import TYPE_CHECKING
 
 from ..federation.answers import RunContext, Solution
-from ..federation.operators import FedOperator
+from ..federation.operators import DependentJoin, FedOperator
 from .observation import RunObservation
 from .profile import ProfileReport
 
@@ -62,7 +62,13 @@ def instrument_sequential(
         operator.execute = traced_execute  # type: ignore[method-assign]
         operator.execute_batch = traced_execute_batch  # type: ignore[method-assign]
         instrumented.append(operator)
-        for child in operator.children():
+        # A dependent join re-issues its inner leaf once per block with a
+        # restricted request: those streams are the join's input, not a
+        # plan output, so — as in ``compile_plan`` — the inner gets no tap.
+        inputs = (
+            [operator.outer] if isinstance(operator, DependentJoin) else operator.children()
+        )
+        for child in inputs:
             instrument(child)
 
     def restore() -> None:

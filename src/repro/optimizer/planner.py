@@ -413,11 +413,7 @@ class CostBasedPlanner(FederatedPlanner):
                         (inner_index,) = right_set
                         inner_unit = units[inner_index]
                         shared = left.variables & frozenset(inner_unit.variables)
-                        if (
-                            len(shared) == 1
-                            and isinstance(inner_unit.operator, ServiceNode)
-                            and inner_unit.operator.supports_restriction
-                        ):
+                        if len(shared) == 1 and isinstance(inner_unit.operator, ServiceNode):
                             (shared_variable,) = shared
                             candidates.append(
                                 self._dependent_entry(

@@ -352,10 +352,10 @@ def _check_join_orderings(root: FedOperator) -> list[str]:
 
     def visit(operator: FedOperator) -> None:
         if isinstance(operator, DependentJoin):
-            if not operator.inner.supports_restriction:
+            if not isinstance(operator.inner, ServiceNode):
                 violations.append(
-                    f"dependent join probes service {operator.inner.source_id!r} "
-                    f"which does not support restriction"
+                    f"dependent join probes {operator.inner.label()!r}, "
+                    f"which is not a restrictable service leaf"
                 )
             certain = _certain_variables(operator.outer)
             if certain is not None and operator.join_variable not in certain:

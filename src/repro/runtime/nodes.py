@@ -134,7 +134,7 @@ class SourceNode(OperatorNode):
     The producer runs the raw wrapper stream on its own timeline; the
     service's kernel (its engine-side filters) runs here, on the engine
     clock, as it does under ``ServiceNode.execute``.  A dependent join
-    restarts its inner leaf once per block with a ``restriction``.
+    restarts its inner leaf once per block with a restricted ``request``.
     """
 
     def __init__(
@@ -157,21 +157,21 @@ class SourceNode(OperatorNode):
         else:  # the pass-through kernel, skipped: most leaves, every message
             self.parent.push(self.slot, solution)
 
-    def start(self, time: float, restriction: tuple | None = None) -> None:
+    def start(self, time: float, request=None) -> None:
         service = self.service
-        runner, key = service.runner, (self.leaf_id,)
-        if restriction is not None:
-            if service.restricted_runner is None:  # pragma: no cover
-                raise RuntimeError(f"service {service.source_id!r} is not restrictable")
+        key = (self.leaf_id,)
+        if request is None:
+            request = service.request
+        else:
             self.restarts += 1
             key = (self.leaf_id, self.restarts)
 
-            def runner(ctx):
-                return service.restricted_runner(ctx, *restriction)
+        def produce(ctx):
+            return service.wrapper.execute(request, ctx)
 
         self.open = 1  # the one producer stream spawned here
         self.sched.spawn(
-            node=self, slot=0, runner=runner, key=key, start=time, gate=self.gate
+            node=self, slot=0, runner=produce, key=key, start=time, gate=self.gate
         )
 
 
@@ -233,8 +233,9 @@ class DependentJoinNode(OperatorNode):
     def _begin_block(self, final: bool) -> None:
         self.final_block = final
         self.outer_gate.pause()
-        restriction = (self.kernel.op.join_variable, self.kernel.seal())
-        self.inputs[self.kernel.INNER].start(self.context.now(), restriction)
+        op = self.kernel.op
+        request = op.inner.request.restricted(op.join_variable, self.kernel.seal())
+        self.inputs[self.kernel.INNER].start(self.context.now(), request)
 
 
 def compile_plan(
@@ -270,7 +271,7 @@ def compile_plan(
         # leaf takes its id before the outer subtree is compiled and stays
         # under this node's own gate, so an ancestor dependent join pausing
         # this subtree also pauses in-flight inner blocks; it gets no tap
-        # (the pull-based operator never calls the inner's ``execute``).
+        # (its per-block streams are the join's input, not a plan output).
         node = DependentJoinNode(sched, parent, slot, op)
         node.outer_gate = Gate(parent=gate)
         inner = SourceNode(sched, node, node.kernel.INNER, op.inner, gate)

@@ -116,6 +116,31 @@ class TestExecution:
         other = engine.with_network(NetworkSetting.gamma1())
         assert other.network.name == "Gamma 1"
 
+        # Every constructor setting travels; the registry is never shared.
+        tuned = FederatedEngine(
+            tiny_lake,
+            enable_subresult_cache=False,
+            plan_cache_size=512,
+            thread_workers=8,
+            debug_validate=True,
+        )
+        for sibling in (
+            tuned.with_policy(PlanPolicy.physical_design_unaware()),
+            tuned.with_network(NetworkSetting.gamma1()),
+        ):
+            assert sibling.thread_workers == 8
+            assert sibling.debug_validate is True
+            assert sibling.caches is not tuned.caches
+            assert sibling.caches.plans.enabled
+            assert sibling.caches.plans.capacity == 512
+            assert not sibling.caches.subresults.enabled
+            assert sibling.caches.subresults.capacity == 1024
+        # A sibling of an engine on a shared registry gets one shaped like it.
+        pooled = FederatedEngine(tiny_lake, caches=tuned.caches)
+        fresh = pooled.with_network(NetworkSetting.gamma1()).caches
+        assert fresh is not tuned.caches
+        assert (fresh.plans.capacity, fresh.subresults.enabled) == (512, False)
+
 
 class TestModifiers:
     def test_distinct(self, tiny_lake):

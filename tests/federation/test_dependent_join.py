@@ -79,15 +79,7 @@ class TestDependentJoinOperator:
         db, translation = gene_translation(prepared)
         __, mapping = prepared
         source = RelationalSource(source_id="tiny", database=db, mapping=mapping)
-        wrapper = SQLWrapper(source)
-        return ServiceNode(
-            source_id="tiny",
-            description="SQL",
-            runner=lambda context: wrapper.execute(translation, context),
-            restricted_runner=lambda context, variable, terms: wrapper.execute(
-                translation.restricted(variable, terms), context
-            ),
-        )
+        return ServiceNode(SQLWrapper(source), translation)
 
     def outer_static(self, symbols):
         from tests.federation.test_operators import Static

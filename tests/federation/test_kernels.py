@@ -39,6 +39,7 @@ from repro.federation.operators import (
     ServiceNode,
     SymmetricHashJoin,
     Union,
+    _adapt,
 )
 from repro.network.costmodel import CostModel
 from repro.rdf import IRI, Literal, Variable
@@ -70,8 +71,21 @@ COST = CostModel(
 NOT_ZERO = Filter(BinaryOp("!=", VariableExpr(Variable("a")), TermExpr(TERMS[0])))
 
 
+class Request:
+    """A fake sub-query request: the restriction it carries, if any."""
+
+    key_parts = ()
+
+    def __init__(self, text, restriction=None):
+        self.text = text
+        self.restriction = restriction
+
+    def restricted(self, variable, terms):
+        return Request(self.text, (variable, terms))
+
+
 class Leaf:
-    """A list-backed service that logs every pull.
+    """A list-backed wrapper that logs every pull.
 
     The log — ``(leaf, run, "row" | "end")`` — is the pull order the push
     driver is then fed in.  A restricted run (a dependent join's inner
@@ -79,7 +93,7 @@ class Leaf:
     """
 
     def __init__(self, name, solutions, layout, capacity, log, signature=None):
-        self.name = name
+        self.source_id = name
         self.solutions = solutions
         self.layout = layout
         self.capacity = capacity
@@ -87,44 +101,44 @@ class Leaf:
         self.signature = signature
         self.runs = 0
 
-    def _selected(self, restriction):
+    def data_version(self):
+        # An unsigned leaf's data is its own: a signature nothing equals.
+        return self.signature or object()
+
+    def _selected(self, request):
         self.runs += 1
-        if not restriction:
+        if not request.restriction:
             return self.runs, self.solutions
-        variable, terms = restriction
+        variable, terms = request.restriction
         return self.runs, [s for s in self.solutions if s.get(variable) in terms]
 
-    def rows(self, context, *restriction):
-        run, selected = self._selected(restriction)
+    def execute(self, request, context):
+        run, selected = self._selected(request)
         for solution in selected:
-            self.log.append((self.name, run, "row"))
+            self.log.append((self.source_id, run, "row"))
             yield dict(solution)
-        self.log.append((self.name, run, "end"))
+        self.log.append((self.source_id, run, "end"))
 
-    def handles(self, context, *restriction):
-        run, selected = self._selected(restriction)
+    def execute_batch(self, request, context):
+        if self.layout == "adapt":
+            return _adapt(self.execute(request, context))
+        return self._handles(request)
+
+    def _handles(self, request):
+        run, selected = self._selected(request)
         builders = {}
         for solution in selected:
-            self.log.append((self.name, run, "row"))
+            self.log.append((self.source_id, run, "row"))
             names = VARIABLES if self.layout == "wide" else tuple(solution)
             builder = builders.get(names)
             if builder is None:
                 builder = builders[names] = BatchBuilder(names, self.capacity)
             yield builder.append([solution.get(name) for name in names])
-        self.log.append((self.name, run, "end"))
+        self.log.append((self.source_id, run, "end"))
 
     def service(self, engine_filters=()) -> ServiceNode:
-        columnar = self.layout != "adapt"
-        signature = self.signature
         return ServiceNode(
-            source_id=self.name,
-            description=self.name,
-            runner=self.rows,
-            restricted_runner=self.rows,
-            engine_filters=list(engine_filters),
-            batch_runner=self.handles if columnar else None,
-            restricted_batch_runner=self.handles if columnar else None,
-            data_version_provider=(lambda: signature) if signature else None,
+            self, Request(self.source_id), engine_filters=list(engine_filters)
         )
 
 

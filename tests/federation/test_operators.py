@@ -190,17 +190,30 @@ class TestUnion:
         assert list(Union([Static([]), Static([])]).execute(ctx())) == []
 
 
+class ListWrapper:
+    """A fake wrapper: every request streams the same solutions."""
+
+    def __init__(self, source_id, solutions=()):
+        self.source_id = source_id
+        self.solutions = solutions
+
+    def execute(self, request, context):
+        return iter(self.solutions)
+
+
+class TextRequest:
+    def __init__(self, text):
+        self.text = text
+
+
 class TestServiceNode:
     def test_engine_filters_applied(self):
-        def runner(context):
-            yield {"n": num(1)}
-            yield {"n": num(9)}
-
+        wrapper = ListWrapper("src", [{"n": num(1)}, {"n": num(9)}])
         filter_ = Filter(BinaryOp(">", VariableExpr(Variable("n")), TermExpr(num(5))))
-        node = ServiceNode("src", "test", runner, engine_filters=[filter_])
+        node = ServiceNode(wrapper, TextRequest("test"), engine_filters=[filter_])
         rows = list(node.execute(ctx()))
         assert [row["n"].lexical for row in rows] == ["9"]
 
     def test_explain_mentions_source(self):
-        node = ServiceNode("diseasome", "SQL: SELECT 1", lambda context: iter(()))
+        node = ServiceNode(ListWrapper("diseasome"), TextRequest("SQL: SELECT 1"))
         assert "diseasome" in node.explain()

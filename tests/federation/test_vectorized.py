@@ -263,21 +263,6 @@ class TestBatchSizeKnob:
         with pytest.raises(ValueError, match="batch size"):
             FederatedEngine(tiny_lake, exec="batch", batch_size=0)
 
-    def test_env_override(self, tiny_lake, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "17")
-        engine = FederatedEngine(tiny_lake, exec="batch")
-        assert engine.batch_size == 17
-
-    def test_env_override_must_be_integer(self, tiny_lake, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "lots")
-        with pytest.raises(ValueError, match="REPRO_BATCH_SIZE"):
-            FederatedEngine(tiny_lake, exec="batch")
-
-    def test_explicit_argument_beats_env(self, tiny_lake, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "17")
-        engine = FederatedEngine(tiny_lake, exec="batch", batch_size=64)
-        assert engine.batch_size == 64
-
 
 class TestCompiledFilters:
     """compile_holds must be decision-identical to the holds interpreter."""

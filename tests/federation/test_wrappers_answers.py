@@ -3,9 +3,16 @@
 import pytest
 
 from repro.core import decompose_star_shaped
-from repro.federation import RDFSource, RelationalSource, RunContext, SPARQLWrapper, SQLWrapper
+from repro.federation import (
+    RDFSource,
+    RelationalSource,
+    RunContext,
+    SPARQLWrapper,
+    SQLWrapper,
+    StarRequest,
+)
 from repro.federation.answers import ExecutionStats
-from repro.mapping import normalize_graph
+from repro.mapping import normalize_graph, translate_stars
 from repro.network import FixedDelay, NetworkSetting, VirtualClock
 from repro.rdf import IRI
 from repro.sparql import parse_query
@@ -30,7 +37,7 @@ class TestSQLWrapper:
     def test_streams_solutions(self, relational_source):
         wrapper = SQLWrapper(relational_source)
         the_star = star("SELECT * WHERE { ?g a v:Gene ; v:geneSymbol ?s . }")
-        translation = wrapper.translate([(the_star, relational_source.mapping.class_mapping(GENE))])
+        translation = translate_stars([(the_star, relational_source.mapping.class_mapping(GENE))])
         context = RunContext(seed=1)
         solutions = list(wrapper.execute(translation, context))
         assert len(solutions) == 4
@@ -39,7 +46,7 @@ class TestSQLWrapper:
     def test_charges_source_time_and_messages(self, relational_source):
         wrapper = SQLWrapper(relational_source)
         the_star = star("SELECT * WHERE { ?g a v:Gene ; v:geneSymbol ?s . }")
-        translation = wrapper.translate([(the_star, relational_source.mapping.class_mapping(GENE))])
+        translation = translate_stars([(the_star, relational_source.mapping.class_mapping(GENE))])
         context = RunContext(seed=1)
         list(wrapper.execute(translation, context))
         source_stats = context.stats.source("diseasome")
@@ -51,7 +58,7 @@ class TestSQLWrapper:
     def test_network_delay_applied_per_answer(self, relational_source):
         wrapper = SQLWrapper(relational_source)
         the_star = star("SELECT * WHERE { ?g a v:Gene ; v:geneSymbol ?s . }")
-        translation = wrapper.translate([(the_star, relational_source.mapping.class_mapping(GENE))])
+        translation = translate_stars([(the_star, relational_source.mapping.class_mapping(GENE))])
         setting = NetworkSetting("fixed", FixedDelay(0.01))
         context = RunContext(network=setting, seed=1)
         list(wrapper.execute(translation, context))
@@ -61,7 +68,7 @@ class TestSQLWrapper:
     def test_time_advances_between_answers(self, relational_source):
         wrapper = SQLWrapper(relational_source)
         the_star = star("SELECT * WHERE { ?g a v:Gene ; v:geneSymbol ?s . }")
-        translation = wrapper.translate([(the_star, relational_source.mapping.class_mapping(GENE))])
+        translation = translate_stars([(the_star, relational_source.mapping.class_mapping(GENE))])
         setting = NetworkSetting("fixed", FixedDelay(0.01))
         context = RunContext(network=setting, seed=1)
         timestamps = []
@@ -78,7 +85,7 @@ class TestSPARQLWrapper:
         wrapper = SPARQLWrapper(source)
         the_star = star("SELECT * WHERE { ?p a v:Probeset ; v:symbol ?s . }")
         context = RunContext(seed=1)
-        solutions = list(wrapper.execute(the_star, context))
+        solutions = list(wrapper.execute(StarRequest(the_star, ()), context))
         assert len(solutions) == 3
         assert context.stats.source("affymetrix").answers == 3
 
@@ -91,7 +98,8 @@ class TestSPARQLWrapper:
             'FILTER(CONTAINS(?sp, "Homo")) }'
         )
         context = RunContext(seed=1)
-        solutions = list(wrapper.execute(the_star, context, pushed_filters=the_star.filters))
+        request = StarRequest(the_star, tuple(the_star.filters))
+        solutions = list(wrapper.execute(request, context))
         assert len(solutions) == 2
 
 

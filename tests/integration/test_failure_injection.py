@@ -12,7 +12,7 @@ from repro import (
 from repro.core.decomposer import decompose_star_shaped
 from repro.exceptions import CatalogError, PlanningError, WrapperError
 from repro.federation import RelationalSource, RunContext, SQLWrapper
-from repro.mapping import normalize_graph
+from repro.mapping import normalize_graph, translate_stars
 from repro.rdf import Graph, IRI
 from repro.sparql import parse_query
 
@@ -86,7 +86,7 @@ class TestWrapperFailures:
         star = decompose_star_shaped(
             parse_query(PREFIX + "SELECT * WHERE { ?g a v:Gene ; v:geneSymbol ?s . }")
         ).subqueries[0]
-        translation = wrapper.translate([(star, mapping.class_mapping(IRI("http://ex/vocab#Gene")))])
+        translation = translate_stars([(star, mapping.class_mapping(IRI("http://ex/vocab#Gene")))])
         db.drop_table("gene")  # sabotage the source after planning
         with pytest.raises(WrapperError):
             list(wrapper.execute(translation, RunContext(seed=1)))

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.benchmark import answer_set
 from repro.core import decompose_star_shaped
 from repro.federation import RelationalSource, RunContext, SQLWrapper
-from repro.mapping import normalize_graph
+from repro.mapping import normalize_graph, translate_stars
 from repro.rdf import Graph, IRI, Literal, RDF_TYPE, Triple, XSD_INTEGER
 from repro.sparql import evaluate_query, parse_query
 
@@ -116,7 +116,7 @@ class TestTranslationEquivalence:
         wrapper = SQLWrapper(source)
         decomposition = decompose_star_shaped(query)
         star = decomposition.subqueries[0]
-        translation = wrapper.translate(
+        translation = translate_stars(
             [(star, mapping.class_mapping(CLASS_GENE))],
             pushed_filters=star.filters,
         )
