@@ -1,11 +1,12 @@
 """Every process-wide memo of the engine, declared in one place.
 
 These regions hold pure data work that is fully determined by its key —
-translated SQL, compiled filters, decoded terms, fetched source blocks,
-recorded join streams — and is therefore shared by all engines of the
-process, including the worker threads of an ``EnginePool``.  All of them
-are :class:`~repro.cache.lru.LRUCache` instances: one eviction policy, one
-lock discipline, one set of counters (:func:`memo_stats`).
+translated SQL, compiled filters and predicates, decoded terms, fetched
+source blocks, recorded join streams — and is therefore shared by all
+engines of the process, including the worker threads of an
+``EnginePool``.  All of them are :class:`~repro.cache.lru.LRUCache`
+instances: one eviction policy, one lock discipline, one set of counters
+(:func:`memo_stats`).
 
 Hit/miss counts depend on what the process ran before, so they are for
 inspection only: they never enter a fingerprint, a journal event,
@@ -34,6 +35,9 @@ TRANSLATION_CAPACITY = 256
 TERM_DECODER_CAPACITY = 1024
 #: Compiled FILTER predicates, keyed by the (frozen) expression node.
 COMPILED_HOLDS_CAPACITY = 256
+#: Compiled relational WHERE predicates, keyed by (row header, frozen
+#: predicate node).
+COMPILED_PREDICATES_CAPACITY = 2048
 
 
 class StoreMemo:
@@ -99,6 +103,7 @@ join_streams = LRUCache(JOIN_STREAM_CAPACITY)
 translations = LRUCache(TRANSLATION_CAPACITY)
 term_decoders = LRUCache(TERM_DECODER_CAPACITY)
 compiled_holds = LRUCache(COMPILED_HOLDS_CAPACITY)
+compiled_predicates = LRUCache(COMPILED_PREDICATES_CAPACITY)
 
 #: Every region, by the name :func:`memo_stats` reports it under.
 REGIONS: dict[str, LRUCache | StoreMemo] = {
@@ -108,6 +113,7 @@ REGIONS: dict[str, LRUCache | StoreMemo] = {
     "translations": translations,
     "term_decoders": term_decoders,
     "compiled_holds": compiled_holds,
+    "compiled_predicates": compiled_predicates,
 }
 
 

@@ -355,10 +355,11 @@ class SQLWrapper(_Wrapper):
         """Run the SQL and stream *batch handles* (columnar hot path).
 
         Identical charging to :meth:`execute` — the relational plan is
-        drained through the vectorized executor, whose per-row price deltas
-        are bit-identical to metering the row executor, and every charge is
-        still issued lazily from a per-row generator frame so virtual time
-        interleaves with sibling plan branches exactly like row mode.
+        run once and priced whole (``execute_priced``), with per-row price
+        deltas bit-identical to pricing the meter snapshots row mode reads
+        from ``Database.query``, and every charge is still issued lazily
+        from a per-row generator frame so virtual time interleaves with
+        sibling plan branches exactly like row mode.
         """
         return self._stream(context, True, translation)
 

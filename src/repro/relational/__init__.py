@@ -8,7 +8,7 @@ keys) that the federated optimizer's heuristics consume.
 from .database import Database, QueryResult
 from .dump import dump_sql, load_sql, split_statements
 from .executor import PlanNode, like_to_regex
-from .meter import NullMeter, OperationMeter, OP_KINDS
+from .meter import OperationMeter, OP_KINDS
 from .planner import Planner, PlannerOptions
 from .schema import Column, ForeignKey, IndexDef, TableSchema
 from .sql.ast import (
@@ -59,7 +59,6 @@ __all__ = [
     "JoinClause",
     "LikePredicate",
     "NotExpr",
-    "NullMeter",
     "OP_KINDS",
     "OperationMeter",
     "OrExpr",

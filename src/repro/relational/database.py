@@ -11,7 +11,7 @@ from typing import Iterator, Mapping, Sequence
 
 from ..exceptions import CatalogError, SchemaError
 from .executor import PlanNode, Row
-from .meter import NullMeter, OperationMeter
+from .meter import OperationMeter
 from .planner import Planner, PlannerOptions
 from .schema import Column, ForeignKey, IndexDef, TableSchema
 from .sql.ast import (
@@ -227,9 +227,10 @@ class Database:
         statement: SelectStatement | str,
         meter: OperationMeter | None = None,
     ) -> QueryResult:
-        """Execute a SELECT, streaming rows and metering work into *meter*."""
+        """Execute a SELECT; *meter* holds, after each pulled row, the work a
+        streaming execution would have done up to that row."""
         plan = self.plan(statement)
-        return QueryResult(plan.header, plan.execute(meter or NullMeter()))
+        return QueryResult(plan.header, plan.execute(meter))
 
     def execute(self, statement: Statement | str, meter: OperationMeter | None = None):
         """Execute any supported statement.

@@ -1,19 +1,32 @@
 """Physical operators of the relational engine.
 
-Every operator is a node with a ``header`` (tuple of ``binding.column``
-names) and an ``execute(meter)`` method yielding row tuples.  Operators
-stream; blocking ones (sort, hash-join build) materialize only what they
-must.  Each unit of work is reported to the :class:`OperationMeter` so the
-federation layer can price executions into virtual time.
+Every operator is a plan node with a ``header`` (tuple of ``binding.column``
+names) and exactly one execution definition, :meth:`PlanNode.run`: an eager
+kernel that runs the node's subtree once and returns :class:`CountedRows` —
+the output rows, the cumulative count of every operation kind at each row,
+the final counts, and the static order in which the kinds first fire.  Both
+consumers read that one result:
+
+* the batch data plane prices it whole (``vexecutor.execute_priced``);
+* :meth:`PlanNode.execute`, behind ``Database.query``, replays it into an
+  :class:`OperationMeter`: after each yielded row, and after the end, the
+  meter holds exactly what a streaming (pull one row at a time) execution
+  of the plan would have reported — including the child row a LIMIT pulls
+  past its cut-off.  Rows are computed up front; what a consumer that stops
+  early is charged stays lazy, because charges are read off the meter
+  between pulls.
+
+Why one static kind order reproduces the streaming meter bit for bit is in
+DESIGN.md §12 ("One relational executor").
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterator
 
+from ..cache.memos import compiled_predicates
 from ..exceptions import ExecutionError
 from .indexes import BTreeIndex
 from .meter import OperationMeter
@@ -36,13 +49,8 @@ Row = tuple
 Header = tuple[str, ...]
 
 
-@lru_cache(maxsize=512)
 def like_to_regex(pattern: str) -> re.Pattern:
-    """Compile a SQL LIKE pattern (``%``, ``_``) into an anchored regex.
-
-    Memoized: predicate compilation runs once per operator per execution,
-    so the same LIKE pattern would otherwise be recompiled on every query.
-    """
+    """Compile a SQL LIKE pattern (``%``, ``_``) into an anchored regex."""
     parts: list[str] = []
     for char in pattern:
         if char == "%":
@@ -88,29 +96,23 @@ def _operand_getter(header: Header, operand) -> Callable[[Row], SQLValue]:
     raise ExecutionError(f"unsupported operand {operand!r}")
 
 
-def _is_string_predicate(predicate: WhereExpr) -> bool:
-    """True for predicates that do per-row string *pattern* work (LIKE).
-
-    The distinction feeds the cost model: the paper observed that string
-    filtering is comparatively expensive inside the RDBMS — that is the
-    pattern-matching path (LIKE with wildcards), not hash-comparable
-    equality, which stays on the cheap ``filter_evals`` meter.
-    """
-    return isinstance(predicate, LikePredicate)
-
-
 def compile_predicate(header: Header, predicate: WhereExpr) -> Callable[[Row], bool]:
     """Compile a WHERE expression into a row predicate closure.
 
     Compiled closures are pure functions of (header, predicate) — the AST
-    nodes are frozen dataclasses — so compilation is memoized across
-    queries.  Constants that happen to be unhashable fall back to direct
-    compilation.
+    nodes are frozen dataclasses — so they are memoized across queries in
+    the ``compiled_predicates`` region.  Constants that happen to be
+    unhashable fall back to direct compilation.
     """
+    key = (header, predicate)
     try:
-        return _compile_predicate_memo(header, predicate)
+        compiled = compiled_predicates.get(key)
     except TypeError:
         return _compile_predicate(header, predicate)
+    if compiled is None:
+        compiled = _compile_predicate(header, predicate)
+        compiled_predicates.put(key, compiled)
+    return compiled
 
 
 def _compile_predicate(header: Header, predicate: WhereExpr) -> Callable[[Row], bool]:
@@ -182,7 +184,92 @@ def _compile_predicate(header: Header, predicate: WhereExpr) -> Callable[[Row], 
     raise ExecutionError(f"unsupported predicate {predicate!r}")
 
 
-_compile_predicate_memo = lru_cache(maxsize=2048)(_compile_predicate)
+class _Conjuncts:
+    """A node's predicates: evaluated in order, the first rejection stops.
+
+    Each evaluation is counted under its kind: LIKE does per-row string
+    *pattern* work — the paper observed that string filtering is
+    comparatively expensive inside the RDBMS — while hash-comparable
+    equality, ranges, IN and IS NULL stay on the cheap ``filter_evals``.
+    """
+
+    def __init__(self, header: Header, predicates: list[WhereExpr]):
+        self.compiled = [compile_predicate(header, p) for p in predicates]
+        self.kinds = [
+            "string_filter_evals" if isinstance(p, LikePredicate) else "filter_evals"
+            for p in predicates
+        ]
+
+    def select(self, candidates: list[Row]) -> tuple[list[int], list[tuple]]:
+        """The indices of the accepted candidates, and per predicate its
+        ``(kind, cumulative evaluations at each accepted candidate, total)``."""
+        compiled = self.compiled
+        if not compiled:
+            return list(range(len(candidates))), []
+        keep: list[int] = []
+        cumulative: list[list[int]] = [[] for __ in compiled]
+        evals = [0] * len(compiled)
+        for i, row in enumerate(candidates):
+            for j, predicate in enumerate(compiled):
+                evals[j] += 1
+                if not predicate(row):
+                    break
+            else:
+                keep.append(i)
+                for j, count in enumerate(evals):
+                    cumulative[j].append(count)
+        return keep, list(zip(self.kinds, cumulative, evals))
+
+
+# ---------------------------------------------------------------------------
+# Counted execution
+# ---------------------------------------------------------------------------
+
+
+@dataclass(slots=True)
+class CountedRows:
+    """One eagerly executed subtree: rows plus cumulative counts per row."""
+
+    rows: list[Row]
+    #: kind -> cumulative count at the moment each row was output.
+    counts: dict[str, list[int]] = field(default_factory=dict)
+    #: kind -> cumulative count after the subtree fully drained.
+    final: dict[str, int] = field(default_factory=dict)
+    #: Static first-fire order of the kinds (children before own kinds).
+    order: list[str] = field(default_factory=list)
+
+    def add(self, kind: str, cumulative: list[int], total: int) -> None:
+        """Fold one kind's per-row cumulative counts and total into this result."""
+        existing = self.counts.get(kind)
+        if existing is None:
+            self.counts[kind] = cumulative
+            self.order.append(kind)
+        else:
+            self.counts[kind] = [a + b for a, b in zip(existing, cumulative)]
+        self.final[kind] = self.final.get(kind, 0) + total
+
+    def derived(self, rows: list[Row], keep: list[int] | None = None) -> "CountedRows":
+        """A parent's result starting from these counts, sampled at the rows
+        *keep* that produced each parent row (default: one each)."""
+        if keep is None:
+            counts = dict(self.counts)
+        else:
+            counts = {
+                kind: [cumulative[i] for i in keep] for kind, cumulative in self.counts.items()
+            }
+        return CountedRows(rows, counts, dict(self.final), list(self.order))
+
+    def drained(self, rows: list[Row]) -> "CountedRows":
+        """A parent's result whose every row is output after this subtree
+        fully drained (blocking operators): these counts are constants."""
+        n = len(rows)
+        counts = {kind: [self.final[kind]] * n for kind in self.order}
+        return CountedRows(rows, counts, dict(self.final), list(self.order))
+
+
+def _running(n: int) -> list[int]:
+    """Cumulative count of a kind that fires once per output row."""
+    return list(range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +278,33 @@ _compile_predicate_memo = lru_cache(maxsize=2048)(_compile_predicate)
 
 
 class PlanNode:
-    """Base physical operator: a header plus an execute() stream."""
+    """Base physical operator: a header plus one counted execution."""
 
     header: Header
 
-    def execute(self, meter: OperationMeter) -> Iterator[Row]:
+    def run(self) -> CountedRows:
         raise NotImplementedError
+
+    def execute(self, meter: OperationMeter | None = None) -> Iterator[Row]:
+        """The rows of :meth:`run`, replaying its counts into *meter*.
+
+        Kinds enter ``meter.counts`` at the first row where they are
+        nonzero, in the static order: the order a streaming execution
+        fires them, so a priced snapshot sums in the same order too.
+        """
+        result = self.run()
+        if meter is None:
+            yield from result.rows
+            return
+        kinds = [(kind, result.counts[kind]) for kind in result.order]
+        reported = dict.fromkeys(result.order, 0)
+        for i, row in enumerate(result.rows):
+            for kind, cumulative in kinds:
+                meter.count(kind, cumulative[i] - reported[kind])
+                reported[kind] = cumulative[i]
+            yield row
+        for kind in result.order:
+            meter.count(kind, result.final[kind] - reported[kind])
 
     def children(self) -> list["PlanNode"]:
         return []
@@ -220,22 +328,16 @@ class SeqScan(PlanNode):
 
     def __post_init__(self):
         self.header = tuple(f"{self.binding}.{name}" for name in self.storage.schema.column_names)
-        self._compiled = [compile_predicate(self.header, p) for p in self.predicates]
-        self._string_flags = [_is_string_predicate(p) for p in self.predicates]
+        self._where = _Conjuncts(self.header, self.predicates)
 
-    def execute(self, meter: OperationMeter) -> Iterator[Row]:
-        compiled = self._compiled
-        string_flags = self._string_flags
-        for __, row in self.storage.scan():
-            meter.count("rows_scanned")
-            accepted = True
-            for predicate, is_string in zip(compiled, string_flags):
-                meter.count("string_filter_evals" if is_string else "filter_evals")
-                if not predicate(row):
-                    accepted = False
-                    break
-            if accepted:
-                yield row
+    def run(self) -> CountedRows:
+        live = self.storage.live_rows()
+        keep, evals = self._where.select(live)
+        result = CountedRows([live[i] for i in keep])
+        result.add("rows_scanned", [i + 1 for i in keep], len(live))
+        for count in evals:
+            result.add(*count)
+        return result
 
     def label(self) -> str:
         rendered = " AND ".join(p.sql() for p in self.predicates)
@@ -245,7 +347,7 @@ class SeqScan(PlanNode):
 
 @dataclass
 class IndexScan(PlanNode):
-    """Index-backed access: equality lookup or B-tree range scan."""
+    """Index-backed access: equality lookup, IN-list lookups or B-tree range scan."""
 
     storage: TableStorage
     binding: str
@@ -260,39 +362,37 @@ class IndexScan(PlanNode):
 
     def __post_init__(self):
         self.header = tuple(f"{self.binding}.{name}" for name in self.storage.schema.column_names)
-        self._compiled = [compile_predicate(self.header, p) for p in self.residual_predicates]
-        self._string_flags = [_is_string_predicate(p) for p in self.residual_predicates]
+        self._where = _Conjuncts(self.header, self.residual_predicates)
 
-    def _row_ids(self, meter: OperationMeter) -> Iterator[int]:
+    def run(self) -> CountedRows:
         index = self.storage.index(self.index_name)
-        if self.equality_key is not None:
-            meter.count("index_probes")
-            yield from index.lookup(self.equality_key)
-            return
-        if self.in_keys is not None:
-            for key in self.in_keys:
-                meter.count("index_probes")
-                yield from index.lookup(key)
-            return
-        meter.count("index_probes")
-        if not isinstance(index, BTreeIndex):
-            raise ExecutionError(f"index {self.index_name!r} cannot serve range scans")
-        yield from index.scan_range(
-            self.range_low, self.range_high, self.include_low, self.include_high
-        )
-
-    def execute(self, meter: OperationMeter) -> Iterator[Row]:
-        for row_id in self._row_ids(meter):
-            meter.count("index_row_fetches")
-            row = self.storage.row(row_id)
-            accepted = True
-            for predicate, is_string in zip(self._compiled, self._string_flags):
-                meter.count("string_filter_evals" if is_string else "filter_evals")
-                if not predicate(row):
-                    accepted = False
-                    break
-            if accepted:
-                yield row
+        keys = [self.equality_key] if self.equality_key is not None else self.in_keys
+        row_ids: list[int] = []
+        probe_of: list[int] = []  # probes issued when each row id was found
+        if keys is None:
+            if not isinstance(index, BTreeIndex):
+                raise ExecutionError(f"index {self.index_name!r} cannot serve range scans")
+            row_ids = list(
+                index.scan_range(
+                    self.range_low, self.range_high, self.include_low, self.include_high
+                )
+            )
+            probe_of = [1] * len(row_ids)
+            probes = 1
+        else:
+            for probe, key in enumerate(keys, 1):
+                found = index.lookup(key)
+                row_ids.extend(found)
+                probe_of.extend([probe] * len(found))
+            probes = len(keys)
+        fetched = [self.storage.row(row_id) for row_id in row_ids]
+        keep, evals = self._where.select(fetched)
+        result = CountedRows([fetched[i] for i in keep])
+        result.add("index_probes", [probe_of[i] for i in keep], probes)
+        result.add("index_row_fetches", [i + 1 for i in keep], len(fetched))
+        for count in evals:
+            result.add(*count)
+        return result
 
     def label(self) -> str:
         if self.equality_key is not None:
@@ -309,26 +409,22 @@ class IndexScan(PlanNode):
 
 @dataclass
 class FilterNode(PlanNode):
-    """Residual predicate applied on top of a child stream."""
+    """Residual predicate applied on top of a child."""
 
     child: PlanNode
     predicates: list[WhereExpr]
 
     def __post_init__(self):
         self.header = self.child.header
-        self._compiled = [compile_predicate(self.header, p) for p in self.predicates]
-        self._string_flags = [_is_string_predicate(p) for p in self.predicates]
+        self._where = _Conjuncts(self.header, self.predicates)
 
-    def execute(self, meter: OperationMeter) -> Iterator[Row]:
-        for row in self.child.execute(meter):
-            accepted = True
-            for predicate, is_string in zip(self._compiled, self._string_flags):
-                meter.count("string_filter_evals" if is_string else "filter_evals")
-                if not predicate(row):
-                    accepted = False
-                    break
-            if accepted:
-                yield row
+    def run(self) -> CountedRows:
+        child = self.child.run()
+        keep, evals = self._where.select(child.rows)
+        result = child.derived([child.rows[i] for i in keep], keep)
+        for count in evals:
+            result.add(*count)
+        return result
 
     def children(self) -> list[PlanNode]:
         return [self.child]
@@ -351,21 +447,38 @@ class HashJoin(PlanNode):
         self._left_position = _column_position(self.left.header, self.left_key)
         self._right_position = _column_position(self.right.header, self.right_key)
 
-    def execute(self, meter: OperationMeter) -> Iterator[Row]:
+    def run(self) -> CountedRows:
+        left = self.left.run()
+        right = self.right.run()
+        left_position = self._left_position
         table: dict[SQLValue, list[Row]] = {}
-        for row in self.left.execute(meter):
-            meter.count("hash_build_rows")
-            key = row[self._left_position]
+        for row in left.rows:
+            key = row[left_position]
             if key is not None:
                 table.setdefault(key, []).append(row)
-        for row in self.right.execute(meter):
-            meter.count("hash_probe_rows")
-            key = row[self._right_position]
+        right_position = self._right_position
+        rows: list[Row] = []
+        keep_right: list[int] = []
+        empty: tuple[Row, ...] = ()
+        for i, row in enumerate(right.rows):
+            key = row[right_position]
             if key is None:
                 continue
-            for matched in table.get(key, ()):
-                meter.count("join_output_rows")
-                yield matched + row
+            for matched in table.get(key, empty):
+                rows.append(matched + row)
+                keep_right.append(i)
+        n_out, n_left = len(rows), len(left.rows)
+        # Every output row follows the complete build: the left side's
+        # counts (and the build counter) are constants.
+        result = left.drained(rows)
+        result.add("hash_build_rows", [n_left] * n_out, n_left)
+        for kind in right.order:
+            result.add(
+                kind, [right.counts[kind][i] for i in keep_right], right.final[kind]
+            )
+        result.add("hash_probe_rows", [i + 1 for i in keep_right], len(right.rows))
+        result.add("join_output_rows", _running(n_out), n_out)
+        return result
 
     def children(self) -> list[PlanNode]:
         return [self.left, self.right]
@@ -391,28 +504,35 @@ class IndexNestedLoopJoin(PlanNode):
         )
         self.header = self.outer.header + inner_header
         self._outer_position = _column_position(self.outer.header, self.outer_key)
-        self._compiled = [compile_predicate(inner_header, p) for p in self.inner_predicates]
-        self._string_flags = [_is_string_predicate(p) for p in self.inner_predicates]
+        self._where = _Conjuncts(inner_header, self.inner_predicates)
 
-    def execute(self, meter: OperationMeter) -> Iterator[Row]:
-        index = self.storage.index(self.index_name)
-        for outer_row in self.outer.execute(meter):
-            key = outer_row[self._outer_position]
+    def run(self) -> CountedRows:
+        outer = self.outer.run()
+        lookup = self.storage.index(self.index_name).lookup
+        storage_row = self.storage.row
+        outer_position = self._outer_position
+        fetched: list[Row] = []
+        outer_of: list[int] = []  # the outer row each inner row was fetched for
+        probe_of: list[int] = []  # probes issued when it was fetched
+        probes = 0
+        for i, outer_row in enumerate(outer.rows):
+            key = outer_row[outer_position]
             if key is None:
                 continue
-            meter.count("index_probes")
-            for row_id in index.lookup((key,)):
-                meter.count("index_row_fetches")
-                inner_row = self.storage.row(row_id)
-                accepted = True
-                for predicate, is_string in zip(self._compiled, self._string_flags):
-                    meter.count("string_filter_evals" if is_string else "filter_evals")
-                    if not predicate(inner_row):
-                        accepted = False
-                        break
-                if accepted:
-                    meter.count("join_output_rows")
-                    yield outer_row + inner_row
+            probes += 1
+            for row_id in lookup((key,)):
+                fetched.append(storage_row(row_id))
+                outer_of.append(i)
+                probe_of.append(probes)
+        keep, evals = self._where.select(fetched)
+        rows = [outer.rows[outer_of[k]] + fetched[k] for k in keep]
+        result = outer.derived(rows, [outer_of[k] for k in keep])
+        result.add("index_probes", [probe_of[k] for k in keep], probes)
+        result.add("index_row_fetches", [k + 1 for k in keep], len(fetched))
+        for count in evals:
+            result.add(*count)
+        result.add("join_output_rows", _running(len(rows)), len(rows))
+        return result
 
     def children(self) -> list[PlanNode]:
         return [self.outer]
@@ -436,11 +556,13 @@ class ProjectNode(PlanNode):
         self.header = tuple(self.output_names)
         self._positions = [_column_position(self.child.header, ref) for ref in self.columns]
 
-    def execute(self, meter: OperationMeter) -> Iterator[Row]:
+    def run(self) -> CountedRows:
+        child = self.child.run()
         positions = self._positions
-        for row in self.child.execute(meter):
-            meter.count("rows_output")
-            yield tuple(row[position] for position in positions)
+        rows = [tuple(row[p] for p in positions) for row in child.rows]
+        result = child.derived(rows)
+        result.add("rows_output", _running(len(rows)), len(rows))
+        return result
 
     def children(self) -> list[PlanNode]:
         return [self.child]
@@ -456,19 +578,39 @@ class DistinctNode(PlanNode):
     def __post_init__(self):
         self.header = self.child.header
 
-    def execute(self, meter: OperationMeter) -> Iterator[Row]:
+    def run(self) -> CountedRows:
+        child = self.child.run()
         seen: set[Row] = set()
-        for row in self.child.execute(meter):
-            meter.count("distinct_rows")
+        keep: list[int] = []
+        for i, row in enumerate(child.rows):
             if row not in seen:
                 seen.add(row)
-                yield row
+                keep.append(i)
+        result = child.derived([child.rows[i] for i in keep], keep)
+        result.add("distinct_rows", [i + 1 for i in keep], len(child.rows))
+        return result
 
     def children(self) -> list[PlanNode]:
         return [self.child]
 
     def label(self) -> str:
         return "Distinct"
+
+
+def _sort_key(position: int) -> Callable[[Row], tuple]:
+    """Collation of one column: NULL < booleans < numbers < strings."""
+
+    def key(row: Row) -> tuple:
+        value = row[position]
+        if value is None:
+            return (0, 0)
+        if isinstance(value, bool):
+            return (1, int(value))
+        if isinstance(value, (int, float)):
+            return (2, value)
+        return (3, str(value))
+
+    return key
 
 
 @dataclass
@@ -484,26 +626,14 @@ class SortNode(PlanNode):
             (_column_position(self.header, ref), ascending) for ref, ascending in self.keys
         ]
 
-    def execute(self, meter: OperationMeter) -> Iterator[Row]:
-        rows = list(self.child.execute(meter))
-        meter.count("sort_rows", len(rows))
-
-        def key_for(position: int) -> Callable[[Row], tuple]:
-            def key(row: Row) -> tuple:
-                value = row[position]
-                if value is None:
-                    return (0, 0)
-                if isinstance(value, bool):
-                    return (1, int(value))
-                if isinstance(value, (int, float)):
-                    return (2, value)
-                return (3, str(value))
-
-            return key
-
+    def run(self) -> CountedRows:
+        child = self.child.run()
+        rows = list(child.rows)
         for position, ascending in reversed(self._positions):
-            rows.sort(key=key_for(position), reverse=not ascending)
-        yield from rows
+            rows.sort(key=_sort_key(position), reverse=not ascending)
+        result = child.drained(rows)
+        result.add("sort_rows", [len(rows)] * len(rows), len(rows))
+        return result
 
     def children(self) -> list[PlanNode]:
         return [self.child]
@@ -522,17 +652,22 @@ class LimitNode(PlanNode):
     def __post_init__(self):
         self.header = self.child.header
 
-    def execute(self, meter: OperationMeter) -> Iterator[Row]:
-        skipped = 0
-        produced = 0
-        for row in self.child.execute(meter):
-            if self.offset and skipped < self.offset:
-                skipped += 1
-                continue
-            if self.limit is not None and produced >= self.limit:
-                return
-            produced += 1
-            yield row
+    def run(self) -> CountedRows:
+        child = self.child.run()
+        start = self.offset or 0
+        stop = len(child.rows)
+        if self.limit is not None:
+            stop = min(stop, start + self.limit)
+        keep = list(range(start, stop))
+        result = child.derived(child.rows[start:stop], keep)
+        if self.limit is not None and start + self.limit < len(child.rows):
+            # A streaming LIMIT pulls one child row past its cut-off before it
+            # stops: the final counts are the child's at that row.
+            cutoff = start + self.limit
+            result.final = {
+                kind: cumulative[cutoff] for kind, cumulative in child.counts.items()
+            }
+        return result
 
     def children(self) -> list[PlanNode]:
         return [self.child]
@@ -566,10 +701,10 @@ class AggregateNode(PlanNode):
         group_names = tuple(self.child.header[p] for p in self._group_positions)
         self.header = group_names + tuple(name for __, __c, name in self.aggregates)
 
-    def execute(self, meter: OperationMeter) -> Iterator[Row]:
+    def run(self) -> CountedRows:
+        child = self.child.run()
         groups: dict[tuple, list[_Accumulator]] = {}
-        for row in self.child.execute(meter):
-            meter.count("hash_build_rows")
+        for row in child.rows:
             key = tuple(row[position] for position in self._group_positions)
             accumulators = groups.get(key)
             if accumulators is None:
@@ -582,9 +717,15 @@ class AggregateNode(PlanNode):
         if not groups and not self._group_positions:
             # Aggregates over an empty input yield one row of identities.
             groups[()] = [_Accumulator(function) for function, __ in self._aggregate_positions]
-        for key, accumulators in groups.items():
-            meter.count("rows_output")
-            yield key + tuple(accumulator.result() for accumulator in accumulators)
+        rows = [
+            key + tuple(accumulator.result() for accumulator in accumulators)
+            for key, accumulators in groups.items()
+        ]
+        built = len(child.rows)
+        result = child.drained(rows)
+        result.add("hash_build_rows", [built] * len(rows), built)
+        result.add("rows_output", _running(len(rows)), len(rows))
+        return result
 
     def children(self) -> list[PlanNode]:
         return [self.child]
@@ -641,12 +782,11 @@ class CountNode(PlanNode):
     def __post_init__(self):
         self.header = ("count",)
 
-    def execute(self, meter: OperationMeter) -> Iterator[Row]:
-        count = 0
-        for __ in self.child.execute(meter):
-            count += 1
-        meter.count("rows_output")
-        yield (count,)
+    def run(self) -> CountedRows:
+        child = self.child.run()
+        result = child.drained([(len(child.rows),)])
+        result.add("rows_output", [1], 1)
+        return result
 
     def children(self) -> list[PlanNode]:
         return [self.child]

@@ -31,9 +31,10 @@ OP_KINDS = (
 class OperationMeter:
     """Mutable counter of executor operations.
 
-    Operators call :meth:`count` while streaming; observers may read
-    :attr:`counts` between pulls to price incremental work (that is how the
-    SQL wrapper advances the virtual clock per produced answer).
+    ``PlanNode.execute`` replays a plan's counts into it row by row;
+    observers may read :attr:`counts` between pulls to price incremental
+    work (that is how the SQL wrapper advances the virtual clock per
+    produced answer).
     """
 
     counts: dict[str, int] = field(default_factory=dict)
@@ -44,23 +45,3 @@ class OperationMeter:
 
     def get(self, kind: str) -> int:
         return self.counts.get(kind, 0)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(self.counts)
-
-    def merge(self, other: "OperationMeter") -> None:
-        for kind, amount in other.counts.items():
-            self.count(kind, amount)
-
-    def reset(self) -> None:
-        self.counts.clear()
-
-
-class NullMeter(OperationMeter):
-    """A meter that discards counts (for callers indifferent to costs)."""
-
-    def count(self, kind: str, amount: int = 1) -> None:  # noqa: D102
-        return

@@ -327,7 +327,8 @@ class Planner:
                     info.storage,
                     info.binding,
                     definition.name,
-                    in_keys=[(value,) for value in values],
+                    # A repeated value would fetch (and return) its rows twice.
+                    in_keys=[(value,) for value in dict.fromkeys(values)],
                     residual_predicates=residual_without(position),
                 )
         for position, column, operator, value in ranges:

@@ -1,448 +1,28 @@
-"""Vectorized relational statement execution for the batch data plane.
+"""Pricing of one relational execution for the batch data plane.
 
-The row-mode SQL wrapper pulls a plan's ``execute(meter)`` generator one row
-at a time and re-prices the meter's cumulative counts after every row — per
-row that is a handful of generator resumes, dict updates and an O(kinds)
-priced sum.  This module executes the same plan eagerly, tracking for every
-*output row* the cumulative operation counts as plain integer lists, and
-then prices all rows at once with a few NumPy array operations.
-
-Bit-identity argument (the numbers the wrapper charges must equal row mode's
-to the last ULP):
-
-* **Counts are exact.** All meter counts are small integers, exactly
-  representable in float64; the per-node loops below replicate the row
-  executor's counting statements one for one, so the cumulative count of
-  every kind at every output row is the same integer.
-* **Order of summation.** Row mode prices a snapshot by summing
-  ``price * count`` in the meter dict's insertion order — the order in
-  which kinds *first fired*.  The static per-plan kind order used here is
-  the program order of the counting statements (children before own
-  kinds).  Every kind of a subtree that fires at all fires no later than
-  the subtree's first output row (rejected rows only evaluate predicate
-  prefixes that accepted rows evaluate fully), so among kinds with nonzero
-  counts the static order equals first-fire order; kinds not yet (or
-  never) fired contribute exactly ``+0.0``, which is an exact identity on
-  a non-negative accumulator.
-* **Same IEEE ops.** NumPy's elementwise ``*``/``+``/``-`` on float64 are
-  the same IEEE-754 operations the scalar code performs per row.
-
-Unsupported node shapes (aggregation, anything unknown) fall back to
-:func:`drained_reference`, which drains the row executor once and prices
-meter snapshots with the row-mode arithmetic — always correct, still far
-cheaper than the row-mode pull chain.
+A plan's :meth:`~repro.relational.executor.PlanNode.run` yields its rows with
+the cumulative operation counts at each row; this module prices all rows at
+once with a few NumPy array operations into the per-row charge deltas the
+row-mode SQL wrapper computes one meter snapshot at a time.  The deltas are
+bit-identical to the row plane's: counts are exact small integers, the
+static kind order equals the order in which ``meter.counts`` fills (so the
+priced sum adds the same terms in the same order — DESIGN.md §12), and
+NumPy's elementwise float64 ``*``/``+``/``-`` are the IEEE-754 operations
+the scalar code performs per row.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from ..network.costmodel import CostModel
-from .executor import (
-    DistinctNode,
-    FilterNode,
-    HashJoin,
-    IndexNestedLoopJoin,
-    IndexScan,
-    LimitNode,
-    PlanNode,
-    ProjectNode,
-    Row,
-    SeqScan,
-    SortNode,
-)
-from .meter import OperationMeter
+from .executor import CountedRows, PlanNode, Row
 
 #: (output rows, per-row charge deltas, residual charge after the last row)
 PricedRows = tuple[list[Row], list[float], float]
 
 
-class _VStream:
-    """An eagerly-executed subtree: rows plus cumulative counts per row."""
-
-    __slots__ = ("rows", "counts", "final", "order")
-
-    def __init__(
-        self,
-        rows: list[Row],
-        counts: dict[str, list[int]],
-        final: dict[str, int],
-        order: list[str],
-    ):
-        self.rows = rows
-        #: kind -> cumulative count at the moment each row was output.
-        self.counts = counts
-        #: kind -> cumulative count after the subtree fully drained.
-        self.final = final
-        #: Static first-fire order of the kinds (see module docstring).
-        self.order = order
-
-
-def _add_kind(
-    counts: dict[str, list[int]],
-    final: dict[str, int],
-    order: list[str],
-    kind: str,
-    cumulative: list[int],
-    total: int,
-) -> None:
-    """Fold one kind's cumulative list into a stream being assembled."""
-    existing = counts.get(kind)
-    if existing is None:
-        counts[kind] = cumulative
-        order.append(kind)
-    else:
-        counts[kind] = [a + b for a, b in zip(existing, cumulative)]
-    final[kind] = final.get(kind, 0) + total
-
-
-def _sampled(child: _VStream, keep: list[int]) -> tuple[dict[str, list[int]], list[str]]:
-    """Child cumulative counts sampled at the surviving row indices."""
-    counts = {
-        kind: [cumulative[i] for i in keep] for kind, cumulative in child.counts.items()
-    }
-    return counts, list(child.order)
-
-
-def _v_seqscan(node: SeqScan) -> _VStream:
-    live = node.storage.live_rows()
-    compiled = node._compiled
-    if not compiled:
-        n = len(live)
-        return _VStream(
-            live,
-            {"rows_scanned": list(range(1, n + 1))},
-            {"rows_scanned": n},
-            ["rows_scanned"],
-        )
-    flags = node._string_flags
-    rows: list[Row] = []
-    scanned_cum: list[int] = []
-    eval_cums: list[list[int]] = [[] for __ in compiled]
-    evals = [0] * len(compiled)
-    scanned = 0
-    for row in live:
-        scanned += 1
-        accepted = True
-        for j, predicate in enumerate(compiled):
-            evals[j] += 1
-            if not predicate(row):
-                accepted = False
-                break
-        if accepted:
-            rows.append(row)
-            scanned_cum.append(scanned)
-            for j, count in enumerate(evals):
-                eval_cums[j].append(count)
-    counts = {"rows_scanned": scanned_cum}
-    final = {"rows_scanned": scanned}
-    order = ["rows_scanned"]
-    for j, is_string in enumerate(flags):
-        kind = "string_filter_evals" if is_string else "filter_evals"
-        _add_kind(counts, final, order, kind, eval_cums[j], evals[j])
-    return _VStream(rows, counts, final, order)
-
-
-def _v_indexscan(node: IndexScan) -> _VStream:
-    index = node.storage.index(node.index_name)
-    entries: list[tuple[int, int]] = []  # (probes so far, row_id)
-    probes = 0
-    if node.equality_key is not None:
-        probes = 1
-        entries = [(1, row_id) for row_id in index.lookup(node.equality_key)]
-    elif node.in_keys is not None:
-        for key in node.in_keys:
-            probes += 1
-            for row_id in index.lookup(key):
-                entries.append((probes, row_id))
-    else:
-        probes = 1
-        entries = [
-            (1, row_id)
-            for row_id in index.scan_range(
-                node.range_low, node.range_high, node.include_low, node.include_high
-            )
-        ]
-    compiled = node._compiled
-    flags = node._string_flags
-    storage_row = node.storage.row
-    rows: list[Row] = []
-    probe_cum: list[int] = []
-    fetch_cum: list[int] = []
-    eval_cums: list[list[int]] = [[] for __ in compiled]
-    evals = [0] * len(compiled)
-    fetches = 0
-    for probes_at, row_id in entries:
-        fetches += 1
-        row = storage_row(row_id)
-        accepted = True
-        for j, predicate in enumerate(compiled):
-            evals[j] += 1
-            if not predicate(row):
-                accepted = False
-                break
-        if accepted:
-            rows.append(row)
-            probe_cum.append(probes_at)
-            fetch_cum.append(fetches)
-            for j, count in enumerate(evals):
-                eval_cums[j].append(count)
-    counts = {"index_probes": probe_cum, "index_row_fetches": fetch_cum}
-    final = {"index_probes": probes, "index_row_fetches": fetches}
-    order = ["index_probes", "index_row_fetches"]
-    for j, is_string in enumerate(flags):
-        kind = "string_filter_evals" if is_string else "filter_evals"
-        _add_kind(counts, final, order, kind, eval_cums[j], evals[j])
-    return _VStream(rows, counts, final, order)
-
-
-def _v_filter(node: FilterNode) -> _VStream | None:
-    child = _vrun(node.child)
-    if child is None:
-        return None
-    compiled = node._compiled
-    flags = node._string_flags
-    rows: list[Row] = []
-    keep: list[int] = []
-    eval_cums: list[list[int]] = [[] for __ in compiled]
-    evals = [0] * len(compiled)
-    for i, row in enumerate(child.rows):
-        accepted = True
-        for j, predicate in enumerate(compiled):
-            evals[j] += 1
-            if not predicate(row):
-                accepted = False
-                break
-        if accepted:
-            rows.append(row)
-            keep.append(i)
-            for j, count in enumerate(evals):
-                eval_cums[j].append(count)
-    counts, order = _sampled(child, keep)
-    final = dict(child.final)
-    for j, is_string in enumerate(flags):
-        kind = "string_filter_evals" if is_string else "filter_evals"
-        _add_kind(counts, final, order, kind, eval_cums[j], evals[j])
-    return _VStream(rows, counts, final, order)
-
-
-def _v_hashjoin(node: HashJoin) -> _VStream | None:
-    left = _vrun(node.left)
-    if left is None:
-        return None
-    right = _vrun(node.right)
-    if right is None:
-        return None
-    left_position = node._left_position
-    table: dict[object, list[Row]] = {}
-    for row in left.rows:
-        key = row[left_position]
-        if key is not None:
-            table.setdefault(key, []).append(row)
-    n_left = len(left.rows)
-    right_position = node._right_position
-    rows: list[Row] = []
-    keep_right: list[int] = []
-    out_cum: list[int] = []
-    produced = 0
-    empty: tuple[Row, ...] = ()
-    for i, row in enumerate(right.rows):
-        key = row[right_position]
-        if key is None:
-            continue
-        for matched in table.get(key, empty):
-            produced += 1
-            rows.append(matched + row)
-            keep_right.append(i)
-            out_cum.append(produced)
-    n_out = len(rows)
-    # At any output row the build side has fully drained: the left child's
-    # counts (and the build counter) are constants.
-    counts: dict[str, list[int]] = {
-        kind: [left.final.get(kind, 0)] * n_out for kind in left.order
-    }
-    final = dict(left.final)
-    order = list(left.order)
-    _add_kind(counts, final, order, "hash_build_rows", [n_left] * n_out, n_left)
-    for kind in right.order:
-        _add_kind(
-            counts,
-            final,
-            order,
-            kind,
-            [right.counts[kind][i] for i in keep_right],
-            right.final.get(kind, 0),
-        )
-    probe_cum = [i + 1 for i in keep_right]
-    _add_kind(counts, final, order, "hash_probe_rows", probe_cum, len(right.rows))
-    _add_kind(counts, final, order, "join_output_rows", out_cum, produced)
-    return _VStream(rows, counts, final, order)
-
-
-def _v_inlj(node: IndexNestedLoopJoin) -> _VStream | None:
-    outer = _vrun(node.outer)
-    if outer is None:
-        return None
-    index = node.storage.index(node.index_name)
-    storage_row = node.storage.row
-    outer_position = node._outer_position
-    compiled = node._compiled
-    flags = node._string_flags
-    rows: list[Row] = []
-    keep_outer: list[int] = []
-    probe_cum: list[int] = []
-    fetch_cum: list[int] = []
-    out_cum: list[int] = []
-    eval_cums: list[list[int]] = [[] for __ in compiled]
-    evals = [0] * len(compiled)
-    probes = 0
-    fetches = 0
-    produced = 0
-    for i, outer_row in enumerate(outer.rows):
-        key = outer_row[outer_position]
-        if key is None:
-            continue
-        probes += 1
-        for row_id in index.lookup((key,)):
-            fetches += 1
-            inner_row = storage_row(row_id)
-            accepted = True
-            for j, predicate in enumerate(compiled):
-                evals[j] += 1
-                if not predicate(inner_row):
-                    accepted = False
-                    break
-            if accepted:
-                produced += 1
-                rows.append(outer_row + inner_row)
-                keep_outer.append(i)
-                probe_cum.append(probes)
-                fetch_cum.append(fetches)
-                out_cum.append(produced)
-                for j, count in enumerate(evals):
-                    eval_cums[j].append(count)
-    counts, order = _sampled(outer, keep_outer)
-    final = dict(outer.final)
-    _add_kind(counts, final, order, "index_probes", probe_cum, probes)
-    _add_kind(counts, final, order, "index_row_fetches", fetch_cum, fetches)
-    for j, is_string in enumerate(flags):
-        kind = "string_filter_evals" if is_string else "filter_evals"
-        _add_kind(counts, final, order, kind, eval_cums[j], evals[j])
-    _add_kind(counts, final, order, "join_output_rows", out_cum, produced)
-    return _VStream(rows, counts, final, order)
-
-
-def _v_project(node: ProjectNode) -> _VStream | None:
-    child = _vrun(node.child)
-    if child is None:
-        return None
-    positions = node._positions
-    rows = [tuple(row[p] for p in positions) for row in child.rows]
-    n = len(rows)
-    counts = dict(child.counts)
-    final = dict(child.final)
-    order = list(child.order)
-    _add_kind(counts, final, order, "rows_output", list(range(1, n + 1)), n)
-    return _VStream(rows, counts, final, order)
-
-
-def _v_distinct(node: DistinctNode) -> _VStream | None:
-    child = _vrun(node.child)
-    if child is None:
-        return None
-    seen: set[Row] = set()
-    rows: list[Row] = []
-    keep: list[int] = []
-    for i, row in enumerate(child.rows):
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
-            keep.append(i)
-    counts, order = _sampled(child, keep)
-    final = dict(child.final)
-    n_in = len(child.rows)
-    _add_kind(counts, final, order, "distinct_rows", [i + 1 for i in keep], n_in)
-    return _VStream(rows, counts, final, order)
-
-
-def _v_sort(node: SortNode) -> _VStream | None:
-    child = _vrun(node.child)
-    if child is None:
-        return None
-    rows = list(child.rows)
-    n = len(rows)
-
-    def key_for(position: int) -> Callable[[Row], tuple]:
-        def key(row: Row) -> tuple:
-            value = row[position]
-            if value is None:
-                return (0, 0)
-            if isinstance(value, bool):
-                return (1, int(value))
-            if isinstance(value, (int, float)):
-                return (2, value)
-            return (3, str(value))
-
-        return key
-
-    for position, ascending in reversed(node._positions):
-        rows.sort(key=key_for(position), reverse=not ascending)
-    # The single sort_rows event (and the full child drain) precede every
-    # output: all counts are final constants.
-    counts = {kind: [child.final.get(kind, 0)] * n for kind in child.order}
-    final = dict(child.final)
-    order = list(child.order)
-    _add_kind(counts, final, order, "sort_rows", [n] * n, n)
-    return _VStream(rows, counts, final, order)
-
-
-def _v_limit(node: LimitNode) -> _VStream | None:
-    child = _vrun(node.child)
-    if child is None:
-        return None
-    start = node.offset or 0
-    if node.limit is None:
-        keep = list(range(start, len(child.rows)))
-        final = dict(child.final)
-    else:
-        keep = list(range(start, min(start + node.limit, len(child.rows))))
-        cutoff = start + node.limit
-        if cutoff < len(child.rows):
-            # Row mode pulls one child row past the limit before returning;
-            # the final meter state is the child's snapshot at that row.
-            final = {
-                kind: cumulative[cutoff] for kind, cumulative in child.counts.items()
-            }
-        else:
-            final = dict(child.final)
-    rows = [child.rows[i] for i in keep]
-    counts, order = _sampled(child, keep)
-    return _VStream(rows, counts, final, order)
-
-
-_DISPATCH: dict[type, Callable[[PlanNode], _VStream | None]] = {
-    SeqScan: _v_seqscan,
-    IndexScan: _v_indexscan,
-    FilterNode: _v_filter,
-    HashJoin: _v_hashjoin,
-    IndexNestedLoopJoin: _v_inlj,
-    ProjectNode: _v_project,
-    DistinctNode: _v_distinct,
-    SortNode: _v_sort,
-    LimitNode: _v_limit,
-}
-
-
-def _vrun(node: PlanNode) -> _VStream | None:
-    handler = _DISPATCH.get(type(node))
-    if handler is None:
-        return None
-    return handler(node)
-
-
-def _price_stream(stream: _VStream, cost_model: CostModel) -> tuple[list[float], float]:
+def _price_stream(stream: CountedRows, cost_model: CostModel) -> tuple[list[float], float]:
     mapping = cost_model.rdb_price_mapping()
     n = len(stream.rows)
     if n:
@@ -465,36 +45,8 @@ def _price_stream(stream: _VStream, cost_model: CostModel) -> tuple[list[float],
     return delta_list, final_total - last_total
 
 
-def drained_reference(plan: PlanNode, cost_model: CostModel) -> PricedRows:
-    """Row-executor drain with row-mode pricing arithmetic (fallback/oracle).
-
-    Replays exactly what the row-mode wrapper computes: a cumulative-counts
-    snapshot priced after every yielded row (insertion-order sum), the delta
-    against the previously priced total, and the residual after exhaustion.
-    """
-    meter = OperationMeter()
-    rows: list[Row] = []
-    snapshots: list[tuple[tuple[str, int], ...]] = []
-    for row in plan.execute(meter):
-        rows.append(row)
-        snapshots.append(tuple(meter.counts.items()))
-    mapping = cost_model.rdb_price_mapping()
-    deltas: list[float] = []
-    priced = 0.0
-    for snapshot in snapshots:
-        total = sum(mapping.get(kind, 0.0) * amount for kind, amount in snapshot)
-        deltas.append(total - priced)
-        priced = total
-    final_total = sum(
-        mapping.get(kind, 0.0) * amount for kind, amount in meter.counts.items()
-    )
-    return rows, deltas, final_total - priced
-
-
 def execute_priced(plan: PlanNode, cost_model: CostModel) -> PricedRows:
-    """Run *plan* eagerly; rows plus bit-identical row-mode charge deltas."""
-    stream = _vrun(plan)
-    if stream is None:
-        return drained_reference(plan, cost_model)
+    """Run *plan* once; rows plus bit-identical row-mode charge deltas."""
+    stream = plan.run()
     deltas, residual = _price_stream(stream, cost_model)
     return stream.rows, deltas, residual

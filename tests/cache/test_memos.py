@@ -63,8 +63,10 @@ def test_regions_and_clear():
         "translations",
         "term_decoders",
         "compiled_holds",
+        "compiled_predicates",
     }
     assert stats["sql_blocks"].size and stats["star_columns"].size
+    assert stats["compiled_predicates"].size  # the SQL plans' WHERE clauses
     lookups = {name: region.lookups for name, region in stats.items()}
     clear_memos()
     cleared = memo_stats()

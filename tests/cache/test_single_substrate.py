@@ -8,6 +8,11 @@ The guard is by *shape*, not by name: a module-level mapping or set that
 starts empty has no purpose other than to be filled at run time, whatever
 it is called (``_NAME_TUPLES`` hid from a name-based guard for three PRs).
 A mapping whose name says memo/cache is caught even when it starts filled.
+
+``functools.lru_cache`` / ``functools.cache`` are memos too: bounded and
+locked, but invisible to ``memo_stats()`` and left filled by
+``clear_memos()``.  Only ``repro/datasets/`` may use them — it caches whole
+benchmark lakes, not engine state.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ import repro
 
 SOURCE_ROOT = Path(repro.__file__).parent
 CACHE_PACKAGE = SOURCE_ROOT / "cache"
+FUNCTION_MEMO_PACKAGES = (CACHE_PACKAGE, SOURCE_ROOT / "datasets")
+FUNCTOOLS_MEMOS = {"lru_cache", "cache"}
 SUSPECT_NAME = re.compile(r"(?i)memo|cache")
 MAPPING_TYPES = {
     "dict",
@@ -115,3 +122,53 @@ def test_the_guard_sees_what_it_is_meant_to_see():
         (11, "_BY_SHAPE"),
         (12, "_PLAN_CACHE"),
     ]
+
+
+def functools_memos(tree: ast.Module) -> list[tuple[int, str]]:
+    """Every import or attribute use of ``functools.lru_cache`` / ``.cache``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found.extend(
+                (node.lineno, alias.name)
+                for alias in node.names
+                if alias.name in FUNCTOOLS_MEMOS
+            )
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in FUNCTOOLS_MEMOS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            found.append((node.lineno, f"functools.{node.attr}"))
+    return sorted(found)
+
+
+def test_no_functools_memo_outside_the_cache_and_dataset_packages():
+    offenders = []
+    for path in sorted(SOURCE_ROOT.rglob("*.py")):
+        if any(package in path.parents for package in FUNCTION_MEMO_PACKAGES):
+            continue
+        for lineno, name in functools_memos(ast.parse(path.read_text())):
+            offenders.append(f"{path.relative_to(SOURCE_ROOT)}:{lineno} {name}")
+    assert offenders == [], (
+        "engine memos must be LRUCache regions declared in repro/cache/memos.py: "
+        f"{offenders}"
+    )
+
+
+def test_the_functools_guard_fires_on_the_old_predicate_memos():
+    # The relational executor's two memos before they became a region.
+    tree = ast.parse(
+        "from functools import lru_cache\n"
+        "@lru_cache(maxsize=512)\n"
+        "def like_to_regex(pattern): ...\n"
+        "def _compile_predicate(header, predicate): ...\n"
+        "_compile_predicate_memo = lru_cache(maxsize=2048)(_compile_predicate)\n"
+        "import functools\n"
+        "@functools.cache\n"
+        "def f(): ...\n"
+        "from functools import cached_property, partial\n"
+        "cache = {}.get\n"
+    )
+    assert functools_memos(tree) == [(1, "lru_cache"), (7, "functools.cache")]

@@ -74,6 +74,20 @@ class TestAccessPaths:
         ).fetchall()
         assert rows == []
 
+    @pytest.mark.parametrize("column, values", [("id", "1, 1, 2"), ("grp", "3, 3, 4")])
+    def test_repeated_in_values_return_each_row_once(self, db, column, values):
+        db.create_index("item", ["grp"])
+        statement = f"SELECT id FROM item WHERE {column} IN ({values})"
+        assert "IndexScan" in db.explain(statement)
+        meter = OperationMeter()
+        indexed = db.query(statement, meter).fetchall()
+        assert meter.get("index_probes") == 2
+        scanning = Database("scan", PlannerOptions(allow_index_scans=False))
+        scanning._tables = db._tables
+        scanned = scanning.query(statement).fetchall()
+        assert sorted(indexed) == sorted(scanned)
+        assert len(set(indexed)) == len(indexed)
+
     def test_planner_options_disable_index(self, db):
         database = Database("opts", PlannerOptions(allow_index_scans=False))
         database._tables = db._tables
@@ -154,7 +168,8 @@ class TestModifiers:
         meter = OperationMeter()
         rows = db.query("SELECT id FROM item LIMIT 5", meter).fetchall()
         assert len(rows) == 5
-        # streaming limit: should not scan all 200 rows
+        # The meter reports what a streaming plan would have done: the limit
+        # stops the scan after one row past the cut-off, not all 200 rows.
         assert meter.get("rows_scanned") <= 10
 
     def test_projection_renames(self, db):

@@ -83,28 +83,3 @@ class TestFormatComplexGroups:
         )
         # top group has no direct patterns but nested ones are reachable
         assert len(list(query.where.all_triple_patterns())) == 3
-
-
-class TestMeterHelpers:
-    def test_merge_and_reset(self):
-        from repro.relational import OperationMeter
-
-        first = OperationMeter()
-        first.count("rows_scanned", 5)
-        second = OperationMeter()
-        second.count("rows_scanned", 2)
-        second.count("index_probes", 1)
-        first.merge(second)
-        assert first.get("rows_scanned") == 7
-        assert first.total() == 8
-        snapshot = first.snapshot()
-        first.reset()
-        assert first.total() == 0
-        assert snapshot["index_probes"] == 1  # snapshot decoupled
-
-    def test_null_meter_discards(self):
-        from repro.relational import NullMeter
-
-        meter = NullMeter()
-        meter.count("rows_scanned", 100)
-        assert meter.total() == 0
