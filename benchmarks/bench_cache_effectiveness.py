@@ -20,6 +20,7 @@ from pathlib import Path
 
 from repro import FederatedEngine, NetworkSetting, PlanPolicy
 from repro.benchmark import same_answers
+from repro.cache import clear_memos
 from repro.datasets import BENCHMARK_QUERIES, GRID_QUERIES
 
 from .conftest import SCALE, SEED, emit
@@ -54,6 +55,7 @@ def test_cache_effectiveness(lake, results_dir):
     )
 
     baseline_wall, baseline = run_workload(uncached, queries)
+    clear_memos()  # the uncached run filled the process-wide block memos
     cold_wall, cold = run_workload(cached, queries)
     warm_walls = []
     warm = cold

@@ -64,7 +64,7 @@ def measure_cell(
     network: NetworkSetting,
     runtime: str,
     seed: int,
-    exec: str = "row",
+    exec: str = "batch",
 ) -> dict:
     """Execute one grid cell observed and distill its plan-quality record."""
     engine = FederatedEngine(
@@ -95,7 +95,7 @@ def build_baseline(
     policies: Sequence[str] = DEFAULT_POLICIES,
     networks: Sequence[str] = DEFAULT_NETWORKS,
     runtimes: Sequence[str] = DEFAULT_RUNTIMES,
-    exec: str = "row",
+    exec: str = "batch",
 ) -> dict:
     """Measure the whole grid and assemble the canonical baseline document.
 
@@ -103,8 +103,8 @@ def build_baseline(
     recorded so ``check`` can rebuild the identical lake.  *exec* selects
     the data plane; since row and batch execution are bit-identical in
     virtual time, a baseline snapshotted under one plane must check clean
-    under the other — which is exactly how the CI gate exercises the
-    batch engine against the committed row-mode numbers.
+    under the other — which is how the CI gate exercises the row
+    reference plane against numbers recorded under either.
     """
     cells: dict[str, dict] = {}
     for query_name, text in query_texts.items():

@@ -29,16 +29,17 @@ class Configuration:
     #: Execution runtime ("sequential", "event", or "thread"); kept out of
     #: the label unless it deviates from the historical default.
     runtime: str = "sequential"
-    #: Data plane ("row" or "batch"); virtual-time results are identical
-    #: either way, so the axis only changes wall-clock cost of the run.
-    exec: str = "row"
+    #: Data plane ("batch" or "row"); virtual-time results are identical
+    #: either way, so the axis only changes wall-clock cost of the run and
+    #: is kept out of the label unless it deviates from the default.
+    exec: str = "batch"
 
     @property
     def label(self) -> str:
         base = f"{self.policy.name} / {self.network.name}"
         if self.runtime != "sequential":
             base += f" / {self.runtime}"
-        if self.exec != "row":
+        if self.exec != "batch":
             base += f" / {self.exec}"
         return base
 
@@ -47,7 +48,7 @@ def experiment_grid(
     policies: Sequence[PlanPolicy] | None = None,
     networks: Sequence[NetworkSetting] | None = None,
     runtime: str = "sequential",
-    exec: str = "row",
+    exec: str = "batch",
 ) -> list[Configuration]:
     """The default grid: {aware, unaware} x four network settings."""
     policies = policies or (
@@ -198,7 +199,7 @@ def run_grid(
     seed: int = 7,
     cost_model: CostModel | None = None,
     runtime: str = "sequential",
-    exec: str = "row",
+    exec: str = "batch",
     observe: bool = False,
 ) -> GridResults:
     """Run every query under every configuration (the paper's experiment)."""

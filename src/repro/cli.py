@@ -102,11 +102,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--exec",
         choices=EXEC_MODES,
-        default="row",
+        default="batch",
         help=(
-            "data plane: row-at-a-time dicts or vectorized columnar "
-            "batches; virtual times are bit-identical, batch is faster "
-            "in wall-clock"
+            "data plane: columnar solution batches (default) or the "
+            "row-at-a-time reference, one dict per answer through every "
+            "operator; both fetch and charge sources identically, so "
+            "virtual times are bit-identical and only wall-clock differs"
         ),
     )
     parser.add_argument(
@@ -480,9 +481,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         policies=baseline["policies"],
         networks=baseline["networks"],
         runtimes=baseline["runtimes"],
-        # Virtual times are exec-invariant, so checking a row-mode baseline
-        # under --exec batch is a legitimate (and gating) configuration.
-        exec=args.exec or baseline.get("exec", "row"),
+        # Virtual times are exec-invariant, so checking a baseline under
+        # the other plane is a legitimate (and gating) configuration; one
+        # that records no plane re-runs under the engine default.
+        exec=args.exec or baseline.get("exec", "batch"),
     )
     thresholds = Thresholds(
         rel_time=args.rel_time,

@@ -214,7 +214,7 @@ class FederatedEngine:
         debug_validate: bool | None = None,
         runtime: str = "sequential",
         thread_workers: int | None = None,
-        exec: str = "row",
+        exec: str = "batch",
         batch_size: int | None = None,
         caches: CacheRegistry | None = None,
     ):
@@ -228,9 +228,10 @@ class FederatedEngine:
             raise ValueError(f"unknown runtime {runtime!r}; choose from {RUNTIMES}")
         if exec not in EXEC_MODES:
             raise ValueError(f"unknown exec mode {exec!r}; choose from {EXEC_MODES}")
-        #: Default data-plane mode: "row" (one dict per answer) or "batch"
-        #: (columnar solution batches on the hot path — same virtual
-        #: timeline, faster wall-clock).  Overridable per call.
+        #: Default data-plane mode: "batch" (columnar solution batches on
+        #: the hot path) or "row" (one dict per answer through every
+        #: operator — the per-solution reference, same virtual timeline,
+        #: slower wall-clock).  Overridable per call.
         self.exec = exec
         #: Default capacity of one solution batch (None = the library default).
         self.batch_size = _resolve_batch_size(batch_size)

@@ -25,15 +25,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Solution = dict[str, Term]
 
-#: Engine execution modes: ``row`` is the original dict-per-answer pull
-#: chain, ``batch`` the columnar data plane of ``federation.batch``.
+#: Engine execution modes: ``batch`` (the default) is the columnar data
+#: plane of ``federation.batch``, ``row`` the per-solution reference that
+#: hands one dict per answer through every operator.  Both share one source
+#: path (``federation.wrappers``).
 EXEC_MODES = ("row", "batch")
 
 #: Default rows per columnar batch chunk (overridable per engine via
 #: ``batch_size=`` or the ``--batch-size`` flag).
 DEFAULT_BATCH_SIZE = 256
 
-#: How many network-delay samples a batch-mode context draws per RNG refill.
+#: How many network-delay samples a context draws per RNG refill.
 _DELAY_BLOCK = 512
 
 
@@ -210,7 +212,7 @@ class RunContext:
         clock: Clock | None = None,
         seed: int | None = None,
         caches: CacheRegistry | None = None,
-        exec_mode: str = "row",
+        exec_mode: str = "batch",
         batch_size: int = DEFAULT_BATCH_SIZE,
     ):
         self.network = network or NetworkSetting.no_delay()
@@ -234,15 +236,15 @@ class RunContext:
         #: :class:`~repro.runtime.task.TaskContext`); the empty tuple marks
         #: the engine-side context of a run.
         self.key: tuple[int, ...] = ()
-        #: ``"row"`` or ``"batch"`` — which data plane the wrappers and
-        #: operators run.  Charging semantics are identical either way.
+        #: ``"batch"`` or ``"row"`` — which data plane the operators run.
+        #: Wrappers fetch and charge identically under both.
         self.exec_mode = exec_mode
-        #: Rows per columnar chunk in batch mode.
+        #: Rows per columnar chunk (source blocks and batch-plane chunks).
         self.batch_size = batch_size
-        #: Block-sampled network delays (batch mode only).  All delay draws
-        #: of one context come from one distribution (``network.delay``), so
-        #: the i-th buffered draw equals the i-th scalar draw regardless of
-        #: which stream consumes it — refilling in blocks is bit-neutral.
+        #: Block-sampled network delays.  All delay draws of one context
+        #: come from one distribution (``network.delay``), so the i-th
+        #: buffered draw equals the i-th scalar draw regardless of which
+        #: stream consumes it — refilling in blocks is bit-neutral.
         self._delay_buffer: list[float] = []
         self._delay_cursor = 0
 
@@ -251,13 +253,11 @@ class RunContext:
     def next_delay(self) -> float:
         """The next network-delay sample of this context.
 
-        Row mode draws one scalar per message (the original code path);
-        batch mode consumes a block-sampled buffer, which is bit-identical
-        draw for draw (``sample_block`` is pinned to the scalar sequence by
-        tests) but amortizes the RNG call overhead.
+        Drawn from a block-sampled buffer: ``sample_block`` is pinned draw
+        for draw to the scalar ``sample`` sequence by tests, and amortizes
+        the RNG call overhead.  :func:`repro.federation.wrappers._charge`
+        inlines this for per-answer delays.
         """
-        if self.exec_mode != "batch":
-            return self.network.delay.sample(self.rng)
         cursor = self._delay_cursor
         buffer = self._delay_buffer
         if cursor >= len(buffer):
@@ -276,27 +276,13 @@ class RunContext:
             self.clock.sleep(seconds)
             self.stats.engine_cost += seconds
 
-    def charge_source(self, source_id: str, seconds: float) -> None:
-        """Charge source-side (RDB / triple-store) work to the clock."""
-        if seconds > 0:
-            self.clock.sleep(seconds)
-            self.stats.source(source_id).virtual_cost += seconds
-
-    def charge_message(self, source_id: str) -> None:
-        """One answer crossing the network: overhead + sampled delay.
-
-        This is the paper's injection point: the wrapper delays the
-        retrieval of the next answer from the source.
-        """
-        pause = self.next_delay() + self.cost_model.message_overhead
-        self.clock.sleep(pause)
-        self.stats.messages += 1
-        source = self.stats.source(source_id)
-        source.answers += 1
-        source.network_delay += pause
-
     def charge_request(self, source_id: str) -> None:
-        """The round trip that ships one sub-query to a source."""
+        """The round trip that ships one sub-query to a source.
+
+        Per-answer delays — the paper's injection point, the wrapper
+        delaying the retrieval of the next answer — are charged by
+        :func:`repro.federation.wrappers._charge`.
+        """
         pause = self.next_delay() + self.cost_model.message_overhead
         self.clock.sleep(pause)
         self.stats.messages += 1

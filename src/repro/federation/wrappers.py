@@ -23,9 +23,9 @@ the source exhausted it (a LIMIT-truncated pull caches nothing).  Keys
 embed the source's data version, so any INSERT/DELETE or index change on
 the underlying store invalidates silently.
 
-The row plane's cold paths stay lazy and separate (they are the reference
-the batch plane is checked against); they publish a block built from the
-events they charged.
+Both data planes take this one path: the row plane only materializes each
+charged handle into a solution dict, so a source is fetched, charged and
+cached the same way whichever plane pulls it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from ..exceptions import WrapperError
 if TYPE_CHECKING:  # pragma: no cover - avoids a core <-> federation cycle
     from ..core.decomposer import StarSubquery
 from ..mapping.translator import TranslationResult
-from ..relational.meter import OperationMeter
 from ..relational.vexecutor import execute_priced
 from ..rdf.terms import Term
 from ..sparql.algebra import Filter
@@ -115,30 +114,17 @@ def _observed_stream(
         )
 
 
-def _chunk_rows(
-    names: tuple[str, ...], rows: list[tuple | None], batch_size: int
-) -> tuple[list[Handle | None], list[int]]:
-    """Chunk per-event value tuples (None = dropped at the source).
-
-    Every kept row binds exactly *names*, in order — true of one SQL
-    statement's decoded rows and of one BGP's solutions alike.
-    """
-    blank = (None,) * len(names)
-    columns = [
-        list(column) for column in zip(*(row or blank for row in rows), strict=True)
-    ]
-    kept = [i for i, row in enumerate(rows) if row is not None]
-    return chunk_columns(names, columns, kept, len(rows), batch_size)
-
-
 def _rechunked(block: SourceBlock, batch_size: int) -> SourceBlock:
     """*block* with its kept answers chunked for another batch size."""
-    names = next((h[0].names for h in block.handles if h is not None), ())
-    rows = [
-        None if handle is None else tuple(c[handle[1]] for c in handle[0].columns)
-        for handle in block.handles
-    ]
-    handles, fills = _chunk_rows(names, rows, batch_size)
+    handles = block.handles
+    kept = [i for i, handle in enumerate(handles) if handle is not None]
+    names = handles[kept[0]][0].names if kept else ()
+    columns: list[list[Term | None]] = [[None] * len(handles) for __ in names]
+    for i in kept:
+        batch, offset = handles[i]
+        for column, values in zip(columns, batch.columns):
+            column[i] = values[offset]
+    handles, fills = chunk_columns(names, columns, kept, len(handles), batch_size)
     return replace(block, handles=handles, fills=fills, batch_size=batch_size)
 
 
@@ -149,10 +135,9 @@ def _charge(
 
     The paper's injection point — *delaying the retrieval of the next
     answer from the source* — for cold runs and replays, both data planes
-    and both source kinds.  It inlines ``charge_source`` + ``charge_message``
-    (including ``next_delay``'s block-buffered sampling under
-    ``exec="batch"``): identical float adds on the same accumulators in the
-    same order, minus the per-row call overhead.
+    and both source kinds.  Every delay comes from the context's
+    block-sampled buffer (see :meth:`RunContext.next_delay`), inlined here
+    with the clock and counter updates to save a call per answer.
     """
     clock = context.clock
     virtual = type(clock) is VirtualClock
@@ -160,10 +145,8 @@ def _charge(
     stats = context.stats
     src = stats.source(source_id)
     overhead = context.cost_model.message_overhead
-    delay = context.network.delay
-    sample, sample_block = delay.sample, delay.sample_block
+    sample_block = context.network.delay.sample_block
     rng = context.rng
-    buffered = context.exec_mode == "batch"
     output_cost = block.output_cost
     output_positive = output_cost > 0
     drops_cross_network = block.drops_cross_network
@@ -183,16 +166,13 @@ def _charge(
                 else:
                     clock_sleep(output_cost)
                 src.virtual_cost += output_cost
-            if buffered:
-                cursor = context._delay_cursor
-                buffer = context._delay_buffer
-                if cursor >= len(buffer):
-                    buffer = context._delay_buffer = sample_block(rng, _DELAY_BLOCK)
-                    cursor = 0
-                context._delay_cursor = cursor + 1
-                pause = buffer[cursor] + overhead
-            else:
-                pause = sample(rng) + overhead
+            cursor = context._delay_cursor
+            buffer = context._delay_buffer
+            if cursor >= len(buffer):
+                buffer = context._delay_buffer = sample_block(rng, _DELAY_BLOCK)
+                cursor = 0
+            context._delay_cursor = cursor + 1
+            pause = buffer[cursor] + overhead
             if virtual:
                 clock._now += pause
             else:
@@ -210,7 +190,7 @@ def _charge(
                 clock_sleep(residual)
             src.virtual_cost += residual
     finally:
-        if buffered:
+        if context.exec_mode == "batch":
             observe_batches(context.obs, owner, block.fills, block.batch_size)
 
 
@@ -218,16 +198,14 @@ class _Wrapper:
     """The request protocol both wrappers share.
 
     One counted sub-result lookup, the request round trip, then the
-    charges of a block — cached, or fetched by the subclass — or, on the
-    row plane's cold path, the subclass's lazy reference stream.  A stream
+    charges of a block — cached, or fetched by the subclass.  A stream
     publishes its block only once the source exhausted it: an
     early-terminated pull (LIMIT) never reaches the ``put``.
 
     A *request* is one sub-query as a value (:class:`TranslationResult` or
     :class:`StarRequest`) that renders its own text, key parts and span
-    arguments; subclasses provide ``_key(request)``, ``_fetch(context,
-    request)`` and ``_cold_rows(context, record, request)`` (a generator
-    returning the block it recorded, if asked to).
+    arguments; subclasses provide ``_key(request)`` and ``_fetch(context,
+    request)``, the only place a source is queried.
     """
 
     kind = ""
@@ -273,18 +251,6 @@ class _Wrapper:
         if subresults is not None and not cached:
             subresults.put(key, block)
 
-    def _rows(self, context: RunContext, request) -> Iterator[Solution]:
-        source_id = self.source_id
-        subresults, key, block = self._lookup(context, request)
-        context.charge_request(source_id)
-        if block is not None:
-            for batch, idx in _charge(block, context, source_id, self._owner):
-                yield batch.materialize(idx)
-            return
-        block = yield from self._cold_rows(context, subresults is not None, request)
-        if subresults is not None:
-            subresults.put(key, block)
-
     def _stream(self, context: RunContext, handles: bool, request):
         """The (optionally observed) stream of one request.
 
@@ -292,15 +258,9 @@ class _Wrapper:
         pulled, and the unobserved path hands the inner stream straight to
         the consumer, skipping a delegation frame per pulled row.
         """
-        if handles:
-            stream = self._handles(context, request)
-        elif context.exec_mode == "batch":
-            stream = (
-                batch.materialize(idx)
-                for batch, idx in self._handles(context, request)
-            )
-        else:
-            stream = self._rows(context, request)
+        stream = self._handles(context, request)
+        if not handles:
+            stream = (batch.materialize(idx) for batch, idx in stream)
         if context.obs is None:
             return stream
         return _observed_stream(
@@ -329,21 +289,19 @@ class SQLWrapper(_Wrapper):
     ) -> Iterator[Solution]:
         """Run the SQL and stream solutions, charging source + network time.
 
-        Work done inside the RDBMS is priced from the executor's operation
-        meter *as it happens* (the per-row delta), so the virtual timeline
-        interleaves source work and transfer exactly like a streaming
-        endpoint would.  With a sub-result cache on the context, a cached
-        block for the same (SQL, data version) replays instead — saving
-        the RDBMS wall-clock work while re-charging identical virtual time.
+        The relational plan runs once and is priced whole
+        (``execute_priced``); each answer's price delta and network delay
+        are then charged lazily, as the consumer pulls, so the virtual
+        timeline interleaves source work and transfer exactly like a
+        streaming endpoint would.  With a sub-result cache on the context,
+        a cached block for the same (SQL, data version) replays instead —
+        saving the RDBMS wall-clock work while re-charging identical
+        virtual time.  Observed runs additionally record one wrapper span
+        per execution (the span only reads the clock, never advances it).
 
-        Observed runs additionally record one wrapper span per execution
-        (same charging: the span only reads the clock, never advances it).
-
-        Under ``exec="batch"`` the columnar pipeline runs underneath and
-        each handle is materialized back into a dict — the entry point the
-        event/thread runtimes use, where the scheduler transports plain
-        solutions between tasks.  Charges are issued by the same per-row
-        generator either way, so the virtual timeline is identical.
+        This is :meth:`execute_batch` with every handle materialized into a
+        dict: the row plane's entry point, and the event/thread runtimes',
+        whose schedulers transport plain solutions between tasks.
         """
         return self._stream(context, False, translation)
 
@@ -354,62 +312,15 @@ class SQLWrapper(_Wrapper):
     ) -> Iterator[Handle]:
         """Run the SQL and stream *batch handles* (columnar hot path).
 
-        Identical charging to :meth:`execute` — the relational plan is
-        run once and priced whole (``execute_priced``), with per-row price
-        deltas bit-identical to pricing the meter snapshots row mode reads
-        from ``Database.query``, and every charge is still issued lazily
-        from a per-row generator frame so virtual time interleaves with
-        sibling plan branches exactly like row mode.
+        Identical charging to :meth:`execute`: the price deltas are
+        float-for-float those of pricing ``Database.query``'s meter
+        snapshots (pinned by ``tests/relational/test_meter_golden.py``).
         """
         return self._stream(context, True, translation)
 
     def _key(self, translation: TranslationResult) -> tuple:
         return sql_result_key(
             self.source_id, *translation.key_parts, self.source.database.data_version
-        )
-
-    def _cold_rows(
-        self, context: RunContext, record: bool, translation: TranslationResult
-    ) -> Iterator[Solution]:
-        source_id = self.source_id
-        meter = OperationMeter()
-        try:
-            result = self.source.database.query(translation.statement, meter)
-        except Exception as exc:  # pragma: no cover - defensive
-            raise WrapperError(
-                f"source {source_id!r} failed to execute {translation.sql!r}: {exc}"
-            ) from exc
-        priced_so_far = 0.0
-        cost_model = context.cost_model
-        deltas: list[float] = []
-        rows: list[tuple | None] = []
-        for row in result:
-            # Price the relational work performed to produce this row.
-            total_price = cost_model.price_rdb_operations(meter.counts)
-            delta = total_price - priced_so_far
-            context.charge_source(source_id, delta)
-            priced_so_far = total_price
-            # The answer crosses the network.
-            context.charge_message(source_id)
-            solution = translation.solution_for(row)
-            if record:
-                deltas.append(delta)
-                rows.append(None if solution is None else tuple(solution.values()))
-            if solution is not None:
-                yield solution
-        # Residual source work after the last row (e.g. a final scan tail).
-        total_price = cost_model.price_rdb_operations(meter.counts)
-        residual = total_price - priced_so_far
-        context.charge_source(source_id, residual)
-        if not record:
-            return None
-        names = tuple(binding.variable for binding in translation.outputs)
-        return SourceBlock(
-            deltas,
-            *_chunk_rows(names, rows, context.batch_size),
-            context.batch_size,
-            residual=residual,
-            drops_cross_network=True,
         )
 
     def _fetch(
@@ -419,7 +330,7 @@ class SQLWrapper(_Wrapper):
 
         Pure data work (no clock or RNG involvement), fully determined by
         (SQL text, data version, cost model, batch size) — so it runs
-        eagerly and engines in batch mode share the block through the
+        eagerly and engines share the block through the
         per-database ``sql_blocks`` memo instead of re-scanning immutable
         tables.  Charges are still issued per row by every run.
         """
@@ -503,14 +414,6 @@ class StarRequest:
     def span_args(self) -> dict:
         return {"patterns": self.patterns, "restricted": self.bindings is not None}
 
-    def survives(self, solution, tests: list) -> bool:
-        """True unless the restriction or a pushed filter drops the match."""
-        if self.bindings is not None:
-            variable, terms = self.bindings
-            if solution.get(variable) not in terms:
-                return False
-        return all(test(solution) for test in tests)
-
 
 class SPARQLWrapper(_Wrapper):
     """Wrapper over one native RDF source."""
@@ -526,9 +429,8 @@ class SPARQLWrapper(_Wrapper):
     def execute(self, request: StarRequest, context: RunContext) -> Iterator[Solution]:
         """Evaluate the star's BGP over the graph, streaming solutions.
 
-        Under ``exec="batch"`` the columnar pipeline runs underneath and
-        handles are materialized back into dicts (event/thread entry point);
-        the charge sequence is identical either way.
+        :meth:`execute_batch` with every handle materialized into a dict
+        (see :meth:`SQLWrapper.execute`).
         """
         return self._stream(context, False, request)
 
@@ -543,80 +445,45 @@ class SPARQLWrapper(_Wrapper):
             self.source_id, *request.key_parts, self.source.graph.version
         )
 
-    def _cold_rows(
-        self, context: RunContext, record: bool, request: StarRequest
-    ) -> Iterator[Solution]:
-        source_id = self.source_id
-        cost_model = context.cost_model
-        patterns = request.star.patterns
-        lookup_cost = cost_model.rdf_triple_lookup * len(patterns)
-        tests = [compile_holds(f.expression) for f in request.filters]
-        names: tuple[str, ...] = ()
-        rows: list[tuple | None] = []
-        for solution in evaluate_bgp(self.source.graph, patterns):
-            # Each solution required one lookup per triple pattern (amortized).
-            context.charge_source(source_id, lookup_cost)
-            kept = request.survives(solution, tests)
-            if record:
-                names = names or tuple(solution)
-                rows.append(tuple(solution.values()) if kept else None)
-            if not kept:
-                continue
-            context.charge_source(source_id, cost_model.rdf_output_row)
-            context.charge_message(source_id)
-            yield dict(solution)
-        if not record:
-            return None
-        return SourceBlock(
-            [lookup_cost] * len(rows),
-            *_chunk_rows(names, rows, context.batch_size),
-            context.batch_size,
-            output_cost=cost_model.rdf_output_row,
-        )
-
     def _fetch(self, context: RunContext, request: StarRequest) -> SourceBlock:
         """Evaluate the star eagerly into a block (no clock or RNG involved).
 
         Matching, restriction/filter checks and chunking are pure data
         work; the lookup and output charges are issued per match by the
-        charge loop, exactly like row mode.
+        charge loop.
         """
         cost_model = context.cost_model
         patterns = request.star.patterns
         lookup_cost = cost_model.rdf_triple_lookup * len(patterns)
         batch_size = context.batch_size
         tests = [compile_holds(f.expression) for f in request.filters]
-        columnar = evaluate_bgp_columns(self.source.graph, patterns)
+        graph = self.source.graph
+        columnar = evaluate_bgp_columns(graph, patterns)
         if columnar is None:
             # Not a star the columnar matcher supports: generic evaluator.
-            solutions = list(evaluate_bgp(self.source.graph, patterns))
-            count = len(solutions)
-            rows = [
-                tuple(solution.values()) if request.survives(solution, tests) else None
-                for solution in solutions
-            ]
+            solutions = list(evaluate_bgp(graph, patterns))
             names = tuple(solutions[0]) if solutions else ()
-            chunks = _chunk_rows(names, rows, batch_size)
+            columns = [[solution[name] for solution in solutions] for name in names]
+            count = len(solutions)
         else:
             names, columns = columnar
             count = len(columns[0]) if columns else 0
-            kept: "list[int] | range" = range(count)
-            if request.bindings is not None:
-                variable, terms = request.bindings
-                if variable in names:
-                    bound = columns[names.index(variable)]
-                    kept = [i for i in kept if bound[i] in terms]
-                else:
-                    kept = []
-            if tests:
-                whole = SolutionBatch(names, columns)
-                kept = [
-                    i for i in kept if all(test(RowView(whole, i)) for test in tests)
-                ]
-            chunks = chunk_columns(names, columns, kept, count, batch_size)
+        kept: "list[int] | range" = range(count)
+        if request.bindings is not None:
+            variable, terms = request.bindings
+            if variable in names:
+                bound = columns[names.index(variable)]
+                kept = [i for i in kept if bound[i] in terms]
+            else:
+                kept = []
+        if tests:
+            whole = SolutionBatch(names, columns)
+            kept = [
+                i for i in kept if all(test(RowView(whole, i)) for test in tests)
+            ]
         return SourceBlock(
             [lookup_cost] * count,
-            *chunks,
+            *chunk_columns(names, columns, kept, count, batch_size),
             batch_size,
             output_cost=cost_model.rdf_output_row,
         )

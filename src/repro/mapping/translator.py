@@ -55,6 +55,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - avoids a core <-> mapping import cycle
     from ..core.decomposer import StarSubquery
 
+#: ``decode_columns``' memo-miss marker (None is a memoized NULL decode).
+_MISSING = object()
+
 _SQL_COMPARISONS = {"=": "=", "!=": "<>", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
 
 
@@ -209,12 +212,15 @@ class TranslationResult:
     def decode_columns(
         self, rows: list[tuple]
     ) -> tuple[tuple[str, ...], list[list[Term | None]], set[int]]:
-        """Columnar form of :meth:`solution_for` over a whole result.
+        """Decode a whole SQL result into SPARQL term columns.
 
         Returns ``(names, columns, invalid)`` where ``invalid`` holds the
-        indices of rows whose solution would be None (a NULL binding).
-        Term decoding is memoized per binding — terms are frozen value
-        objects, so a memoized term is indistinguishable from a fresh one.
+        indices of rows with a NULL binding (cannot happen for correctly
+        generated statements, which add IS NOT NULL guards).  Term decoding
+        is memoized per binding — terms are frozen value objects, so a
+        memoized term is indistinguishable from a fresh one.  A miss is
+        told apart from a memoized None by a sentinel, never by a second
+        lookup another thread may have raced.
         """
         names = tuple(binding.variable for binding in self.outputs)
         columns: list[list[Term | None]] = []
@@ -227,8 +233,8 @@ class TranslationResult:
             append = column.append
             for row in rows:
                 value = row[position]
-                term = memo_get(value)
-                if term is None and value not in memo:
+                term = memo_get(value, _MISSING)
+                if term is _MISSING:
                     term = memo[value] = term_for(value)
                 append(term)
             if None in column:
@@ -237,20 +243,6 @@ class TranslationResult:
                         invalid.add(index)
             columns.append(column)
         return names, columns, invalid
-
-    def solution_for(self, row: tuple) -> dict[str, Term] | None:
-        """Convert one SQL row into a SPARQL solution mapping.
-
-        Returns None when a required binding is NULL (cannot happen for
-        correctly generated statements, which add IS NOT NULL guards).
-        """
-        solution: dict[str, Term] = {}
-        for binding, value in zip(self.outputs, row):
-            term = binding.term_for(value)
-            if term is None:
-                return None
-            solution[binding.variable] = term
-        return solution
 
 
 class _StarContext:

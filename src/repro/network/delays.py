@@ -32,9 +32,9 @@ class DelayModel:
     def sample_block(self, rng: np.random.Generator, n: int) -> list[float]:
         """*n* consecutive samples, bit-identical to *n* ``sample`` calls.
 
-        The batch execution mode buffers delays through this; subclasses
-        with a vectorizable distribution override it, and the equivalence
-        to the scalar sequence is pinned by tests.
+        Every run context buffers its delays through this; subclasses with
+        a vectorizable distribution override it, and the equivalence to the
+        scalar sequence is pinned by ``tests/network/test_delay_blocks.py``.
         """
         return [self.sample(rng) for __ in range(n)]
 

@@ -228,7 +228,13 @@ class Database:
         meter: OperationMeter | None = None,
     ) -> QueryResult:
         """Execute a SELECT; *meter* holds, after each pulled row, the work a
-        streaming execution would have done up to that row."""
+        streaming execution would have done up to that row.
+
+        The federation never calls this: its SQL wrapper plans the statement
+        and prices the whole run at once (``vexecutor.execute_priced``).  The
+        per-row meter replay serves direct callers — tests (which pin the
+        counts and the pricing against it), ``benchmarks/`` and
+        ``examples/``."""
         plan = self.plan(statement)
         return QueryResult(plan.header, plan.execute(meter))
 

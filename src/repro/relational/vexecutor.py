@@ -1,10 +1,11 @@
-"""Pricing of one relational execution for the batch data plane.
+"""Pricing of one relational execution for the SQL wrapper.
 
 A plan's :meth:`~repro.relational.executor.PlanNode.run` yields its rows with
 the cumulative operation counts at each row; this module prices all rows at
-once with a few NumPy array operations into the per-row charge deltas the
-row-mode SQL wrapper computes one meter snapshot at a time.  The deltas are
-bit-identical to the row plane's: counts are exact small integers, the
+once with a few NumPy array operations into per-row charge deltas.  They are
+bit-identical to pricing each ``Database.query`` meter snapshot with
+``CostModel.price_rdb_operations`` (``tests/relational/test_meter_golden.py``
+pins this for every golden execution): counts are exact small integers, the
 static kind order equals the order in which ``meter.counts`` fills (so the
 priced sum adds the same terms in the same order — DESIGN.md §12), and
 NumPy's elementwise float64 ``*``/``+``/``-`` are the IEEE-754 operations
@@ -46,7 +47,7 @@ def _price_stream(stream: CountedRows, cost_model: CostModel) -> tuple[list[floa
 
 
 def execute_priced(plan: PlanNode, cost_model: CostModel) -> PricedRows:
-    """Run *plan* once; rows plus bit-identical row-mode charge deltas."""
+    """Run *plan* once; rows plus its per-row charge deltas and residual."""
     stream = plan.run()
     deltas, residual = _price_stream(stream, cost_model)
     return stream.rows, deltas, residual

@@ -115,19 +115,19 @@ class TestRunContext:
         assert context.stats.engine_cost == pytest.approx(0.75)
         assert context.now() == pytest.approx(0.75)
 
-    def test_charge_message_counts(self):
+    def test_charge_request_counts(self):
         context = RunContext(seed=1)
-        context.charge_message("src")
+        context.charge_request("src")
         assert context.stats.messages == 1
-        assert context.stats.source("src").answers == 1
+        assert context.stats.source("src").requests == 1
 
     def test_deterministic_with_seed(self):
         setting = NetworkSetting.gamma2()
         first = RunContext(network=setting, seed=9)
         second = RunContext(network=setting, seed=9)
         for __ in range(5):
-            first.charge_message("s")
-            second.charge_message("s")
+            first.charge_request("s")
+            second.charge_request("s")
         assert first.now() == pytest.approx(second.now())
 
 

@@ -71,20 +71,34 @@ class TestSingleStar:
         result = translate_stars([(star, mapping.class_mapping(GENE))])
         assert "id = 10" in result.sql
         rows = db.query(result.statement).fetchall()
-        solutions = [result.solution_for(row) for row in rows]
-        assert solutions == [{"s": Literal("BRCA1")}]
+        assert result.decode_columns(rows) == (("s",), [[Literal("BRCA1")]], set())
 
     def test_solution_reconstruction(self, prepared):
         db, mapping = prepared
         (star,) = stars_for("SELECT * WHERE { ?g a v:Gene ; v:associatedDisease ?d . }")
         result = translate_stars([(star, mapping.class_mapping(GENE))])
-        solutions = [result.solution_for(row) for row in db.query(result.statement)]
+        rows = db.query(result.statement).fetchall()
+        names, columns, invalid = result.decode_columns(rows)
+        assert invalid == set()
+        solutions = [dict(zip(names, values)) for values in zip(*columns)]
+        assert len(solutions) == len(rows) > 0
         assert all(isinstance(solution["g"], IRI) for solution in solutions)
         assert all(isinstance(solution["d"], IRI) for solution in solutions)
         assert all(
             solution["d"].value.startswith("http://ex/diseasome/Disease/")
             for solution in solutions
         )
+
+    def test_null_binding_marks_row_invalid(self, prepared):
+        db, mapping = prepared
+        (star,) = stars_for("SELECT * WHERE { ?g a v:Gene ; v:geneSymbol ?s . }")
+        result = translate_stars([(star, mapping.class_mapping(GENE))])
+        values = {"g": (10, 11), "s": ("BRCA1", None)}
+        rows = list(zip(*(values[b.variable] for b in result.outputs)))
+        position = [b.variable for b in result.outputs].index("s")
+        names, columns, invalid = result.decode_columns(rows)
+        assert invalid == {1}
+        assert columns[position] == [Literal("BRCA1"), None]
 
     def test_wrong_class_type_rejected(self, prepared):
         db, mapping = prepared

@@ -9,8 +9,8 @@ after the end, and a SHA-256 over every row together with the ordered meter
 items after that row — which also pins what a consumer that stops early
 (a LIMIT upstream, an abandoned stream) has been charged.
 
-The corpus is every statement the row-mode federation sends to a relational
-member for Q1–Q5 under each policy of ``POLICY_CHOICES`` and each network of
+The corpus is every statement the federation sends to a relational member
+for Q1–Q5 under each policy of ``POLICY_CHOICES`` and each network of
 ``NETWORK_CHOICES`` on the shared ``small_lslod_lake`` (scale 0.1, seed
 42), plus hand-written statements over a small database, with and without
 secondary indexes, that reach the operators the federation never plans
@@ -30,7 +30,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.network.costmodel import DEFAULT_COST_MODEL
 from repro.relational import Database, OperationMeter
+from repro.relational.vexecutor import PricedRows, execute_priced
 
 GOLDEN = Path(__file__).with_name("meter_golden.json")
 
@@ -100,32 +102,53 @@ def measure(database: Database, sql: str) -> dict:
 
 
 def federation_statements(lake) -> list[tuple[str, str]]:
-    """(source, SQL) of every row-mode ``Database.query`` of the grid, in order."""
+    """(source, SQL) of every statement the grid's SQL wrappers plan, in
+    first-seen order.
+
+    Both data planes fetch a statement through ``Database.plan`` (and
+    ``execute_priced``); the block memo then serves its repeats, which
+    the first-seen order ignores anyway.  Needs a lake whose memo regions
+    are cold.
+    """
     from repro import FederatedEngine
     from repro.benchmark.baseline import NETWORK_CHOICES, POLICY_CHOICES
     from repro.datasets import BENCHMARK_QUERIES
 
     owner = {id(source.database): source.source_id for source in lake.relational_sources()}
     seen: dict[tuple[str, str], None] = {}
-    original = Database.query
+    original = Database.plan
 
-    def recording(self, statement, meter=None):
+    def recording(self, statement):
         sql = statement if isinstance(statement, str) else statement.sql()
         seen.setdefault((owner[id(self)], sql), None)
-        return original(self, statement, meter)
+        return original(self, statement)
 
-    Database.query = recording
+    Database.plan = recording
     try:
         for name in ("Q1", "Q2", "Q3", "Q4", "Q5"):
             for policy in POLICY_CHOICES.values():
                 for network in NETWORK_CHOICES.values():
-                    engine = FederatedEngine(
-                        lake, policy=policy(), network=network(), exec="row"
-                    )
+                    engine = FederatedEngine(lake, policy=policy(), network=network())
                     engine.run(BENCHMARK_QUERIES[name].text, seed=7)
     finally:
-        Database.query = original
+        Database.plan = original
     return list(seen)
+
+
+def reference_pricing(database: Database, sql: str, cost_model) -> PricedRows:
+    """Price each ``Database.query`` meter snapshot whole, charging the delta
+    to the previous snapshot per row and the rest after the last row — the
+    per-row pricing ``execute_priced`` must reproduce float for float."""
+    meter = OperationMeter()
+    rows: list = []
+    deltas: list[float] = []
+    priced = 0.0
+    for row in database.query(sql, meter):
+        total = cost_model.price_rdb_operations(meter.counts)
+        rows.append(row)
+        deltas.append(total - priced)
+        priced = total
+    return rows, deltas, cost_model.price_rdb_operations(meter.counts) - priced
 
 
 def capture() -> dict:
@@ -175,6 +198,47 @@ def test_hand_statements_count_as_captured(variant):
     assert [entry["sql"] for entry in entries] == list(HAND_STATEMENTS)
     for entry in entries:
         assert measure(database, entry["sql"]) == entry
+
+
+def test_capture_recovers_the_committed_statements():
+    from repro.datasets import build_lslod_lake
+
+    lake = build_lslod_lake(scale=0.1, seed=42)  # fresh: cold memo regions
+    committed = [(entry["source"], entry["sql"]) for entry in golden()["lake"]]
+    assert federation_statements(lake) == committed
+
+
+#: Every relational price distinct and none a round number, so a term
+#: priced twice, dropped or taken in another order changes the float.
+SKEWED_COST_MODEL = DEFAULT_COST_MODEL.with_overrides(
+    **{
+        name: (index + 1.37) * 1.1e-6
+        for index, name in enumerate(
+            field for field in vars(DEFAULT_COST_MODEL) if field.startswith("rdb_")
+        )
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "cost_model", [DEFAULT_COST_MODEL, SKEWED_COST_MODEL], ids=["default", "skewed"]
+)
+def test_priced_execution_matches_snapshot_pricing(small_lslod_lake, cost_model):
+    golden_entries = golden()
+    executions = [
+        (small_lslod_lake.source(entry["source"]).database, entry["sql"])
+        for entry in golden_entries["lake"]
+    ]
+    for variant, indexed in (("plain", False), ("indexed", True)):
+        database = hand_database(indexed)
+        executions += [(database, entry["sql"]) for entry in golden_entries["hand"][variant]]
+    assert len(executions) == 91
+    for database, sql in executions:
+        rows, deltas, residual = execute_priced(database.plan(sql), cost_model)
+        want_rows, want_deltas, want_residual = reference_pricing(database, sql, cost_model)
+        assert rows == want_rows, sql
+        assert [d.hex() for d in deltas] == [d.hex() for d in want_deltas], sql
+        assert residual.hex() == want_residual.hex(), sql
 
 
 if __name__ == "__main__":
