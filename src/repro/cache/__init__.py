@@ -14,7 +14,7 @@ This package brings the same levers to our pipeline, at three layers:
   charges so benchmarks stay bit-identical under a fixed seed;
 * **process-wide memos** (:mod:`repro.cache.memos`) — pure data work shared
   by every engine of the process: star→SQL translations, compiled filters,
-  decoded terms, fetched source blocks, recorded join streams.  Inspect
+  decoded terms, fetched source blocks, recorded run scripts.  Inspect
   them with :func:`memo_stats`, drop them with :func:`clear_memos`.
 
 Everything here is dependency-free (no imports from the rest of ``repro``)

@@ -2,7 +2,7 @@
 
 These regions hold pure data work that is fully determined by its key —
 translated SQL, compiled filters and predicates, decoded terms, fetched
-source blocks, recorded join streams — and is therefore shared by all
+source blocks, recorded run scripts — and is therefore shared by all
 engines of the process, including the worker threads of an
 ``EnginePool``.  All of them are :class:`~repro.cache.lru.LRUCache`
 instances: one eviction policy, one lock discipline, one set of counters
@@ -26,8 +26,9 @@ from .lru import CacheStats, LRUCache
 SQL_BLOCK_CAPACITY = 64
 #: Columnar star matches per ``Graph``, keyed by (graph version, patterns).
 STAR_COLUMNS_CAPACITY = 32
-#: Recorded single-variable join streams, keyed by child data signatures.
-JOIN_STREAM_CAPACITY = 16
+#: Recorded run scripts, keyed by (plan-root data signature, cost model,
+#: batch size).
+RUN_SCRIPT_CAPACITY = 16
 #: Star→SQL translations, keyed structurally (patterns, filters, mapping).
 TRANSLATION_CAPACITY = 256
 #: Per-binding ``SQL value -> Term`` decode tables (the inner tables are
@@ -99,7 +100,7 @@ class StoreMemo:
 
 sql_blocks = StoreMemo(SQL_BLOCK_CAPACITY)
 star_columns = StoreMemo(STAR_COLUMNS_CAPACITY)
-join_streams = LRUCache(JOIN_STREAM_CAPACITY)
+run_scripts = LRUCache(RUN_SCRIPT_CAPACITY)
 translations = LRUCache(TRANSLATION_CAPACITY)
 term_decoders = LRUCache(TERM_DECODER_CAPACITY)
 compiled_holds = LRUCache(COMPILED_HOLDS_CAPACITY)
@@ -109,7 +110,7 @@ compiled_predicates = LRUCache(COMPILED_PREDICATES_CAPACITY)
 REGIONS: dict[str, LRUCache | StoreMemo] = {
     "sql_blocks": sql_blocks,
     "star_columns": star_columns,
-    "join_streams": join_streams,
+    "run_scripts": run_scripts,
     "translations": translations,
     "term_decoders": term_decoders,
     "compiled_holds": compiled_holds,

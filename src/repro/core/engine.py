@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterator, TYPE_CHECKING
 
 from ..cache import CacheRegistry, CacheStats, canonicalize_query
+from ..cache.memos import run_scripts
 from ..federation.answers import (
     DEFAULT_BATCH_SIZE,
     EXEC_MODES,
@@ -19,7 +20,8 @@ from ..federation.answers import (
     RunContext,
     Solution,
 )
-from ..network.clock import Clock, VirtualClock
+from ..federation.script import SIGHTED, record, replay, script_key
+from ..network.clock import Clock, RecordingClock, VirtualClock
 from ..network.costmodel import CostModel, DEFAULT_COST_MODEL
 from ..network.delays import NetworkSetting
 from ..sparql.algebra import SelectQuery
@@ -50,7 +52,8 @@ class ResultStream:
     finalized when the stream ends — including when the consumer abandons
     it early (a LIMIT consumer breaking out closes the generator, which
     lands in the ``finally`` below), so traces from partial consumption
-    are well-defined under every runtime.
+    are well-defined under every runtime.  A replayed run script settles
+    each source's counters only then (to what the live run shows there).
     """
 
     def __init__(
@@ -59,10 +62,14 @@ class ResultStream:
         context: RunContext,
         runtime: str = "sequential",
         thread_workers: int | None = None,
+        own_clock: bool = False,
     ):
         self.plan = plan
         self.context = context
         self.runtime = runtime
+        #: The context's clock is the engine's own fresh VirtualClock (no
+        #: caller clock to keep live): the run may record or replay a script.
+        self._own_clock = own_clock
         #: The run's :class:`~repro.obs.observation.RunObservation` (alias
         #: of ``context.obs``), or None for an unobserved run.
         self.observation = context.obs
@@ -83,68 +90,7 @@ class ResultStream:
                         self.plan.root, observation, self.context
                     )
                 if self.context.exec_mode == "batch":
-                    # record_answer and materialize, inlined: same counter
-                    # updates and trace entries, minus two calls per answer.
-                    # An unobserved Project root is fused into this loop:
-                    # its per-row charge is issued here and the answer dict
-                    # is built straight from the kept input columns, which
-                    # skips one generator hop and the aliased projected
-                    # batch (observed runs keep the operator so obs
-                    # instrumentation sees it).
-                    from ..federation.operators import Project
-
-                    context = self.context
-                    clock_now = context.clock.now
-                    trace_append = stats.trace.append
-                    answers = stats.answers
-                    root = self.plan.root
-                    fused_cost = 0.0
-                    if observation is None and type(root) is Project:
-                        project_names = root.variables
-                        fused_cost = context.cost_model.engine_project_row
-                        stream = root.child.execute_batch(context)
-                    else:
-                        project_names = None
-                        stream = root.execute_batch(context)
-                    clock = context.clock
-                    virtual = type(clock) is VirtualClock
-                    positive = fused_cost > 0
-                    derived: dict[int, tuple] = {}
-                    for batch, idx in stream:
-                        if project_names is not None:
-                            if positive:
-                                if virtual:
-                                    clock._now += fused_cost
-                                else:
-                                    clock.sleep(fused_cost)
-                                stats.engine_cost += fused_cost
-                            entry = derived.get(id(batch))
-                            if entry is None:
-                                index = batch.index
-                                columns = batch.columns
-                                derived[id(batch)] = entry = (
-                                    batch,
-                                    [
-                                        (name, columns[index[name]])
-                                        for name in project_names
-                                        if name in index
-                                    ],
-                                )
-                            pairs = entry[1]
-                        else:
-                            pairs = batch.pairs
-                        now = clock._now if virtual else clock_now()
-                        answers += 1
-                        stats.answers = answers
-                        if stats.time_to_first_answer is None:
-                            stats.time_to_first_answer = now
-                        trace_append((now, answers))
-                        stats.execution_time = now
-                        yield {
-                            name: value
-                            for name, column in pairs
-                            if (value := column[idx]) is not None
-                        }
+                    yield from self._sequential_batch()
                 else:
                     for solution in self.plan.root.execute(self.context):
                         stats.record_answer(self.context.now())
@@ -171,6 +117,104 @@ class ResultStream:
             stats.execution_time = self.context.now()
             if observation is not None:
                 observation.finalize(stats)
+
+    def _sequential_batch(self) -> Iterator[Solution]:
+        """The batch plane under the sequential runtime.
+
+        An unobserved run on the engine's own clock is keyed by its plan
+        root's data signature (:mod:`repro.federation.script`).  The first
+        run of a key only notes it (recording costs a third more than a
+        live run, and most keys of an ad-hoc workload never come back); the
+        second records a run script and publishes it if it runs to its end;
+        later ones replay it.
+        """
+        context = self.context
+        root = self.plan.root
+        key = None
+        if self._own_clock and self.observation is None:
+            key = script_key(root, context)
+        if key is not None:
+            script = run_scripts.get(key)
+            if script is None:
+                run_scripts.put(key, SIGHTED)
+                key = None
+            elif script is not SIGHTED:
+                yield from replay(script, root, context)
+                return
+            else:
+                context.clock = RecordingClock()
+        yield from self._drain_batches()
+        if key is not None:
+            run_scripts.put(key, record(context.clock, root))
+
+    def _drain_batches(self) -> Iterator[Solution]:
+        # record_answer and materialize, inlined: same counter updates and
+        # trace entries, minus two calls per answer.  An unobserved Project
+        # root is fused into this loop: its per-row charge is issued here
+        # and the answer dict is built straight from the kept input
+        # columns, which skips one generator hop and the aliased projected
+        # batch (observed runs keep the operator so obs instrumentation
+        # sees it).  A recording clock notes each answer.
+        from ..federation.operators import Project
+
+        context = self.context
+        root = self.plan.root
+        stats = context.stats
+        clock = context.clock
+        clock_now = clock.now
+        mark = clock.mark if type(clock) is RecordingClock else None
+        trace_append = stats.trace.append
+        answers = stats.answers
+        fused_cost = 0.0
+        if self.observation is None and type(root) is Project:
+            project_names = root.variables
+            fused_cost = context.cost_model.engine_project_row
+            stream = root.child.execute_batch(context)
+        else:
+            project_names = None
+            stream = root.execute_batch(context)
+        virtual = type(clock) is VirtualClock
+        positive = fused_cost > 0
+        derived: dict[int, tuple] = {}
+        for batch, idx in stream:
+            if project_names is not None:
+                if positive:
+                    if virtual:
+                        clock._now += fused_cost
+                    else:
+                        clock.sleep(fused_cost)
+                    stats.engine_cost += fused_cost
+                entry = derived.get(id(batch))
+                if entry is None:
+                    index = batch.index
+                    columns = batch.columns
+                    derived[id(batch)] = entry = (
+                        batch,
+                        [
+                            (name, columns[index[name]])
+                            for name in project_names
+                            if name in index
+                        ],
+                    )
+                pairs = entry[1]
+            else:
+                pairs = batch.pairs
+            now = clock._now if virtual else clock_now()
+            answers += 1
+            stats.answers = answers
+            if stats.time_to_first_answer is None:
+                stats.time_to_first_answer = now
+            trace_append((now, answers))
+            stats.execution_time = now
+            answer = {
+                name: value
+                for name, column in pairs
+                if (value := column[idx]) is not None
+            }
+            if mark is not None:
+                mark(answer)
+                answer = answer.copy()
+            yield answer
 
     def __iter__(self) -> Iterator[Solution]:
         return self._iterator
@@ -450,7 +494,7 @@ class FederatedEngine:
             observation.register_plan(plan)
             context.obs = observation
         workers = (self.thread_workers or 4) if runtime == "thread" else None
-        return ResultStream(plan, context, runtime=runtime, thread_workers=workers)
+        return ResultStream(plan, context, runtime, workers, own_clock=clock is None)
 
     def run(
         self,

@@ -10,18 +10,14 @@ reproduces the paper's Figure 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..cache import CacheRegistry
-from ..network.clock import Clock, VirtualClock
+from ..network.clock import Clock, RecordingClock, VirtualClock
 from ..network.costmodel import CostModel, DEFAULT_COST_MODEL
 from ..network.delays import NetworkSetting
 from ..rdf.terms import Term
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 Solution = dict[str, Term]
 
@@ -37,6 +33,14 @@ DEFAULT_BATCH_SIZE = 256
 
 #: How many network-delay samples a context draws per RNG refill.
 _DELAY_BLOCK = 512
+
+#: Under a :class:`~repro.network.clock.RecordingClock` a source charge is
+#: tagged ``(source_id, kind)`` (untagged adds are engine work): source cost,
+#: or a request / answer message (a delay draw plus the message overhead).
+SOURCE_COST, REQUEST, ANSWER = "cost", "request", "answer"
+#: A wrapper marks ``(LOOKUP, wrapper, request)`` at its sub-result lookup
+#: and ``(PUBLISH, that mark)`` where the source is exhausted.
+LOOKUP, PUBLISH = "lookup", "publish"
 
 
 class ChargeBatch:
@@ -284,7 +288,11 @@ class RunContext:
         :func:`repro.federation.wrappers._charge`.
         """
         pause = self.next_delay() + self.cost_model.message_overhead
-        self.clock.sleep(pause)
+        clock = self.clock
+        if type(clock) is RecordingClock:
+            clock.sleep(pause, (source_id, REQUEST))
+        else:
+            clock.sleep(pause)
         self.stats.messages += 1
         source = self.stats.source(source_id)
         source.requests += 1

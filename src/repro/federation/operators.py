@@ -14,6 +14,10 @@ quantity the paper's heuristics trade against source work and transfer.
 Each operator has one :class:`Kernel` (its per-execution state and charges)
 next to it: ``execute`` pulls it, :mod:`repro.runtime.nodes` pushes it, and
 the columnar ``execute_batch`` loops re-implement its charge sequence.
+Operators keep no cross-run state: a repeated sequential batch run is
+replayed whole from its recorded charge script
+(:mod:`repro.federation.script`), keyed by the plan root's
+:meth:`FedOperator.data_signature`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from ..cache.memos import join_streams
 from ..rdf.terms import Term
 from ..network.clock import VirtualClock
 from ..sparql.algebra import Filter, OrderCondition
@@ -152,14 +155,28 @@ class FedOperator:
     def data_signature(self, context: RunContext) -> tuple | None:
         """A hashable identity of this operator's *data* stream, or None.
 
-        Two streams with equal signatures yield the same row data in the
-        same order — network delays, cache state and clock type never enter
-        the signature because they never influence the data plane (delays
-        only move virtual time; caches only change *charges*, not rows).
-        Operators that cannot prove this about themselves return None,
-        which disables stream-level memoization above them.
+        Two streams with equal signatures yield the same rows in the same
+        order and issue the same charges in the same order, delay draws
+        aside — network delays, cache state and clock type never enter the
+        signature because they never influence the data plane (delays only
+        move virtual time; a cached block charges exactly like a fetched
+        one).  The plan root's signature keys the ``run_scripts`` memo
+        (:mod:`repro.federation.script`), so every concrete operator signs
+        every parameter that shapes its output; None (this base, or a test
+        double) keeps the run live.
         """
         return None
+
+    def _signed(self, context: RunContext, *parameters) -> tuple | None:
+        """``(type name, *parameters, *child signatures)``; None when a child
+        cannot sign."""
+        signatures = []
+        for child in self.children():
+            signature = child.data_signature(context)
+            if signature is None:
+                return None
+            signatures.append(signature)
+        return (type(self).__name__, *parameters, *signatures)
 
     def label(self) -> str:
         return type(self).__name__
@@ -382,18 +399,6 @@ def _key_column(batch: SolutionBatch, variables: tuple[str, ...]):
     return _ZippedKeys(batch.columns, positions)
 
 
-# Single-variable join *streams* are memoized across runs in the
-# ``join_streams`` region of :mod:`repro.cache.memos`.  Delays and cache
-# state never change which rows arrive or in which order (pull-driven
-# alternation is data-determined), so for signature-stable inputs the
-# join's entire data plane — key extraction, hash tables, merge/gather,
-# output batches — is identical across runs, engines and networks.  The
-# first complete execution records a script of (pull, flush, yield)
-# events; replays re-pull the children live (their charges stay exact)
-# and re-issue the recorded engine flushes bitwise.  Keyed by the child
-# data signatures plus everything that shapes charges and chunking.
-
-
 class _HashJoinKernel(Kernel):
     """Both hash tables of one symmetric join and its pending charges.
 
@@ -475,31 +480,6 @@ class SymmetricHashJoin(_Binary):
         # (left shape, right shape) pair.  When the shared variables of a
         # pair are exactly the join variables, key equality already proves
         # the rows compatible and the merged row is a plain column gather.
-        # Only the single-variable join (the overwhelmingly common shape)
-        # records and replays its stream through the ``join_streams`` memo.
-        memo_key = None
-        script: list | None = None
-        if len(self.join_variables) == 1 and context.obs is None:
-            signatures = (
-                self.left.data_signature(context),
-                self.right.data_signature(context),
-            )
-            if None not in signatures:
-                memo_key = (
-                    self.join_variables[0],
-                    *signatures,
-                    context.cost_model,
-                    context.batch_size,
-                )
-                cached = join_streams.get(memo_key)
-                if cached is not None:
-                    return self._replay_single(context, cached)
-                script = []
-        return self._run_single(context, memo_key, script)
-
-    def _run_single(
-        self, context: RunContext, memo_key, script: list | None
-    ) -> Iterator[Handle]:
         cost = context.cost_model
         variables = self.join_variables
         # One key column per input batch: the stored column for a single
@@ -534,12 +514,8 @@ class SymmetricHashJoin(_Binary):
                 batch, idx = nexts[side]()
             except StopIteration:
                 active[side] = False
-                if script is not None:
-                    script.append(side + 2)
                 side = 1 - side
                 continue
-            if script is not None:
-                script.append(side)
             keys = key_columns.get(batch)
             if keys is None:
                 keys = key_columns[batch] = _key_column(batch, variables)
@@ -578,43 +554,24 @@ class SymmetricHashJoin(_Binary):
                         )
                     plan, gather, append, append_gather, right_only = compiled
                     if gather:
-                        pending += join_output
-                        flush = pending
-                        if flush > 0:
-                            if virtual:
-                                clock._now += flush
-                            else:
-                                clock_sleep(flush)
-                            stats.engine_cost += flush
-                            pending = 0.0
                         handle = append_gather(
                             lbatch.columns, li, rbatch.columns, ri, right_only
                         )
-                        if script is not None:
-                            script.append((flush, handle))
-                        yield handle
-                        continue
-                    values = plan.merge_values(lbatch, li, rbatch, ri)
-                    if values is not None:
-                        pending += join_output
-                        flush = pending
-                        if flush > 0:
-                            if virtual:
-                                clock._now += flush
-                            else:
-                                clock_sleep(flush)
-                            stats.engine_cost += flush
-                            pending = 0.0
+                    else:
+                        values = plan.merge_values(lbatch, li, rbatch, ri)
+                        if values is None:
+                            continue
                         handle = append(values)
-                        if script is not None:
-                            script.append((flush, handle))
-                        yield handle
+                    pending += join_output
+                    if pending > 0:
+                        if virtual:
+                            clock._now += pending
+                        else:
+                            clock_sleep(pending)
+                        stats.engine_cost += pending
+                        pending = 0.0
+                    yield handle
             side = 1 - side
-        if script is not None:
-            # Publish only streams that ran to natural completion; an
-            # early-closed generator (LIMIT above the join) never gets
-            # here, so partial scripts are never cached.
-            join_streams.put(memo_key, (tuple(script), pending))
         if pending > 0:
             if virtual:
                 clock._now += pending
@@ -622,62 +579,8 @@ class SymmetricHashJoin(_Binary):
                 clock_sleep(pending)
             stats.engine_cost += pending
 
-    def _replay_single(self, context: RunContext, cached) -> Iterator[Handle]:
-        """Replay a recorded join stream bitwise.
-
-        The children are still pulled live — wrapper and network charges
-        depend on cache state and must be issued for real — but every
-        engine-side decision (key skips, table ops, merges) is skipped and
-        the recorded flush values and output handles are re-issued in the
-        recorded order, which is exactly the order the live loop would
-        reproduce (pull alternation is data-determined, and the data is
-        signature-stable by construction of the memo key).
-        """
-        script, final_pending = cached
-        clock = context.clock
-        virtual = type(clock) is VirtualClock
-        clock_sleep = clock.sleep
-        stats = context.stats
-        next0 = self.left.execute_batch(context).__next__
-        next1 = self.right.execute_batch(context).__next__
-        for entry in script:
-            if type(entry) is int:
-                if entry == 0:
-                    next0()
-                elif entry == 1:
-                    next1()
-                else:
-                    try:
-                        (next0 if entry == 2 else next1)()
-                    except StopIteration:
-                        continue
-                    raise RuntimeError(
-                        "join stream replay out of sync with child stream"
-                    )
-            else:
-                flush = entry[0]
-                if flush > 0:
-                    if virtual:
-                        clock._now += flush
-                    else:
-                        clock_sleep(flush)
-                    stats.engine_cost += flush
-                yield entry[1]
-        if final_pending > 0:
-            if virtual:
-                clock._now += final_pending
-            else:
-                clock_sleep(final_pending)
-            stats.engine_cost += final_pending
-
     def data_signature(self, context: RunContext) -> tuple | None:
-        left = self.left.data_signature(context)
-        if left is None:
-            return None
-        right = self.right.data_signature(context)
-        if right is None:
-            return None
-        return ("shj", self.join_variables, left, right)
+        return self._signed(context, self.join_variables)
 
 
 class _LeftJoinKernel(Kernel):
@@ -777,6 +680,9 @@ class LeftJoin(_Binary):
                     yield emitter.emit(plan.names, values)
             if not matched:
                 yield (batch, idx)
+
+    def data_signature(self, context: RunContext) -> tuple | None:
+        return self._signed(context, self.join_variables)
 
     def label(self) -> str:
         return super().label() + " (OPTIONAL)"
@@ -936,6 +842,9 @@ class DependentJoin(FedOperator):
     def children(self) -> list[FedOperator]:
         return [self.outer, self.inner]
 
+    def data_signature(self, context: RunContext) -> tuple | None:
+        return self._signed(context, self.join_variable, self.block_size)
+
     def label(self) -> str:
         return f"DependentJoin[?{self.join_variable}, block={self.block_size}]"
 
@@ -965,10 +874,7 @@ class EngineFilter(_Unary):
         )
 
     def data_signature(self, context: RunContext) -> tuple | None:
-        child = self.child.data_signature(context)
-        if child is None:
-            return None
-        return ("filter", tuple(f.expression.n3() for f in self.filters), child)
+        return self._signed(context, tuple(f.expression.n3() for f in self.filters))
 
     def label(self) -> str:
         rendered = " AND ".join(f.expression.n3() for f in self.filters)
@@ -1018,6 +924,9 @@ class Project(_Unary):
                 )
                 derived[id(batch)] = entry = (batch, projected)
             yield (entry[1], idx)
+
+    def data_signature(self, context: RunContext) -> tuple | None:
+        return self._signed(context, self.variables)
 
     def label(self) -> str:
         return "Project[" + ", ".join(f"?{name}" for name in self.variables) + "]"
@@ -1086,6 +995,9 @@ class Distinct(_Unary):
                 seen.add(key)
                 yield (batch, idx)
 
+    def data_signature(self, context: RunContext) -> tuple | None:
+        return self._signed(context)
+
 
 class _LimitKernel(Kernel):
     """LIMIT/OFFSET counters.  Counts only — solutions or handles.
@@ -1115,6 +1027,9 @@ class Limit(_Unary):
 
     def execute_batch(self, context: RunContext) -> Iterator[Handle]:
         return _drive(self.kernel(context), [self.child.execute_batch(context)])
+
+    def data_signature(self, context: RunContext) -> tuple | None:
+        return self._signed(context, self.limit, self.offset)
 
     def label(self) -> str:
         return f"Limit[{self.limit}, offset={self.offset}]"
@@ -1155,6 +1070,12 @@ class OrderBy(_Unary):
         for view in _drive(self.kernel(context), [views]):
             yield (view.batch, view.idx)
 
+    def data_signature(self, context: RunContext) -> tuple | None:
+        return self._signed(
+            context,
+            tuple((c.expression.n3(), c.ascending) for c in self.conditions),
+        )
+
 
 @dataclass
 class Union(FedOperator):
@@ -1171,10 +1092,4 @@ class Union(FedOperator):
         return list(self.inputs)
 
     def data_signature(self, context: RunContext) -> tuple | None:
-        parts = []
-        for child in self.inputs:
-            signature = child.data_signature(context)
-            if signature is None:
-                return None
-            parts.append(signature)
-        return ("union", tuple(parts))
+        return self._signed(context)

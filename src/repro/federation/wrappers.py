@@ -47,8 +47,9 @@ from ..rdf.terms import Term
 from ..sparql.algebra import Filter
 from ..sparql.bgp import evaluate_bgp, evaluate_bgp_columns
 from ..sparql.expressions import compile_holds
-from ..network.clock import VirtualClock
+from ..network.clock import RecordingClock, VirtualClock
 from .answers import _DELAY_BLOCK, RunContext, Solution
+from .answers import ANSWER, LOOKUP, PUBLISH, SOURCE_COST
 from .batch import Handle, RowView, SolutionBatch, chunk_columns, observe_batches
 from .endpoints import RDFSource, RelationalSource
 
@@ -137,11 +138,15 @@ def _charge(
     answer from the source* — for cold runs and replays, both data planes
     and both source kinds.  Every delay comes from the context's
     block-sampled buffer (see :meth:`RunContext.next_delay`), inlined here
-    with the clock and counter updates to save a call per answer.
+    with the clock and counter updates to save a call per answer.  Under a
+    :class:`RecordingClock` the adds carry their ``(source, kind)`` tag.
     """
     clock = context.clock
     virtual = type(clock) is VirtualClock
-    clock_sleep = clock.sleep
+    charge_cost = charge_delay = clock.sleep
+    if type(clock) is RecordingClock:
+        charge_cost = clock.tagged((source_id, SOURCE_COST))
+        charge_delay = clock.tagged((source_id, ANSWER))
     stats = context.stats
     src = stats.source(source_id)
     overhead = context.cost_model.message_overhead
@@ -156,7 +161,7 @@ def _charge(
                 if virtual:
                     clock._now += pre_cost
                 else:
-                    clock_sleep(pre_cost)
+                    charge_cost(pre_cost)
                 src.virtual_cost += pre_cost
             if handle is None and not drops_cross_network:
                 continue
@@ -164,7 +169,7 @@ def _charge(
                 if virtual:
                     clock._now += output_cost
                 else:
-                    clock_sleep(output_cost)
+                    charge_cost(output_cost)
                 src.virtual_cost += output_cost
             cursor = context._delay_cursor
             buffer = context._delay_buffer
@@ -176,7 +181,7 @@ def _charge(
             if virtual:
                 clock._now += pause
             else:
-                clock_sleep(pause)
+                charge_delay(pause)
             stats.messages += 1
             src.answers += 1
             src.network_delay += pause
@@ -187,7 +192,7 @@ def _charge(
             if virtual:
                 clock._now += residual
             else:
-                clock_sleep(residual)
+                charge_cost(residual)
             src.virtual_cost += residual
     finally:
         if context.exec_mode == "batch":
@@ -243,11 +248,17 @@ class _Wrapper:
     def _handles(self, context: RunContext, request) -> Iterator[Handle]:
         source_id = self.source_id
         subresults, key, block = self._lookup(context, request)
+        clock = context.clock
+        recording = type(clock) is RecordingClock
+        if recording:
+            clock.mark(lookup := (LOOKUP, self, request))
         context.charge_request(source_id)
         cached = block is not None
         if not cached:
             block = self._fetch(context, request)
         yield from _charge(block, context, source_id, self._owner)
+        if recording:
+            clock.mark((PUBLISH, lookup))
         if subresults is not None and not cached:
             subresults.put(key, block)
 
@@ -277,7 +288,7 @@ class SQLWrapper(_Wrapper):
     def data_version(self) -> tuple:
         """``(weakref to the database, its data version)``: the reference
         pins identity (two lakes may both be at version 0) without keeping a
-        dropped store alive through the join-stream memo, the version
+        dropped store alive through a run-script key, the version
         invalidates on mutation."""
         database = self.source.database
         return ref(database), database.data_version

@@ -58,6 +58,40 @@ class VirtualClock:
         return f"VirtualClock(now={self._now:.6f})"
 
 
+class RecordingClock(VirtualClock):
+    """A :class:`VirtualClock` that logs every add and the events between them.
+
+    ``sleep(seconds, tag)`` also appends the duration and its tag to
+    ``adds`` / ``tags``; ``mark(event)`` notes *event* at the current log
+    position.  Being a subclass is the point: the inlined
+    ``clock._now += x`` fast paths are taken only for exactly a
+    :class:`VirtualClock`, so under this clock every add lands in the log.
+    """
+
+    __slots__ = ("adds", "tags", "marks")
+
+    def __init__(self):
+        super().__init__()
+        self.adds: list[float] = []
+        self.tags: list = []
+        self.marks: list[tuple[int, object]] = []
+
+    def sleep(self, seconds: float, tag=None) -> None:
+        if seconds < 0:
+            raise ValueError("cannot sleep a negative duration")
+        self._now += seconds
+        self.adds.append(seconds)
+        self.tags.append(tag)
+
+    def tagged(self, tag):
+        """``sleep(·, tag)`` as a one-argument function."""
+        sleep = self.sleep
+        return lambda seconds: sleep(seconds, tag)
+
+    def mark(self, event) -> None:
+        self.marks.append((len(self.adds), event))
+
+
 class RealClock:
     """Wall-clock time via :func:`time.monotonic` / :func:`time.sleep`."""
 

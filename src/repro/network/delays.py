@@ -29,14 +29,21 @@ class DelayModel:
     def sample(self, rng: np.random.Generator) -> float:
         raise NotImplementedError
 
-    def sample_block(self, rng: np.random.Generator, n: int) -> list[float]:
-        """*n* consecutive samples, bit-identical to *n* ``sample`` calls.
+    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """*n* consecutive samples as a float64 array, bit-identical to *n*
+        ``sample`` calls.
 
-        Every run context buffers its delays through this; subclasses with
-        a vectorizable distribution override it, and the equivalence to the
-        scalar sequence is pinned by ``tests/network/test_delay_blocks.py``.
+        A replayed run script fills its delay slots from this; subclasses
+        with a vectorizable distribution override it, and the equivalence
+        to the scalar sequence is pinned by
+        ``tests/network/test_delay_blocks.py``.
         """
-        return [self.sample(rng) for __ in range(n)]
+        return np.array([self.sample(rng) for __ in range(n)], dtype=np.float64)
+
+    def sample_block(self, rng: np.random.Generator, n: int) -> list[float]:
+        """``sample_array`` as Python floats: every run context buffers its
+        delays through this."""
+        return self.sample_array(rng, n).tolist()
 
     @property
     def mean_latency(self) -> float:
@@ -51,8 +58,8 @@ class NoDelay(DelayModel):
     def sample(self, rng: np.random.Generator) -> float:
         return 0.0
 
-    def sample_block(self, rng: np.random.Generator, n: int) -> list[float]:
-        return [0.0] * n
+    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.zeros(n)
 
     @property
     def mean_latency(self) -> float:
@@ -71,8 +78,8 @@ class FixedDelay(DelayModel):
     def sample(self, rng: np.random.Generator) -> float:
         return self.seconds
 
-    def sample_block(self, rng: np.random.Generator, n: int) -> list[float]:
-        return [self.seconds] * n
+    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.full(n, self.seconds)
 
     @property
     def mean_latency(self) -> float:
@@ -96,11 +103,11 @@ class GammaDelay(DelayModel):
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.gamma(self.alpha, self.beta_ms)) / 1000.0
 
-    def sample_block(self, rng: np.random.Generator, n: int) -> list[float]:
+    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # Generator.gamma(size=n) advances the bit stream exactly like n
         # scalar draws, and the elementwise /1000.0 is the same IEEE op as
         # the scalar division — so this is draw-for-draw bit-identical.
-        return (rng.gamma(self.alpha, self.beta_ms, size=n) / 1000.0).tolist()
+        return rng.gamma(self.alpha, self.beta_ms, size=n) / 1000.0
 
     @property
     def mean_latency(self) -> float:
@@ -126,8 +133,8 @@ class ScaledDelay(DelayModel):
     def sample(self, rng: np.random.Generator) -> float:
         return self.inner.sample(rng) * self.factor
 
-    def sample_block(self, rng: np.random.Generator, n: int) -> list[float]:
-        return [value * self.factor for value in self.inner.sample_block(rng, n)]
+    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.inner.sample_array(rng, n) * self.factor
 
     @property
     def mean_latency(self) -> float:

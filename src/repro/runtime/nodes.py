@@ -21,6 +21,7 @@ their left subtree, dependent joins spawn inner producers per block).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING
 
 from ..federation.answers import Solution
@@ -203,36 +204,66 @@ class DependentJoinNode(OperatorNode):
     the next block; a final block closes the operator.  Pausing makes the
     block phasing identical to the sequential operator: outer transfer for
     block N+1 never overlaps inner transfer for block N.
+
+    Pausing stops deliveries, not a cascade in progress: one outer event
+    can release many solutions at once (a symmetric join's probe matching
+    a long bucket), and its end can close the outer input.  What arrives
+    while an inner block runs waits in ``queued`` (the close in
+    ``outer_closed``) and is taken when the block ends, so every block but
+    the last holds exactly ``block_size`` solutions, as under the pull
+    driver, and only one inner block runs at a time.
     """
 
     #: The pause scope of the outer subtree (set by :func:`compile_plan`).
     outer_gate: "Gate"
-    final_block = False
+
+    def __init__(
+        self, sched: "EventScheduler", parent: Node, slot: int, op: FedOperator
+    ):
+        super().__init__(sched, parent, slot, op)
+        self.queued: deque[Solution] = deque()
+        self.in_flight = self.final_block = self.outer_closed = self.paused = False
 
     def start(self, time: float) -> None:
         self.inputs[self.kernel.OUTER].start(time)
 
     def push(self, slot: int, solution: Solution) -> None:
+        if slot == self.kernel.OUTER and self.in_flight:
+            self.queued.append(solution)
+            return
         super().push(slot, solution)
         if slot == self.kernel.OUTER and self.kernel.full:
             self._begin_block(final=False)
 
     def close(self, slot: int) -> None:
+        if slot == self.kernel.INNER and self.final_block:
+            self.parent.close(self.slot)
+            return
         if slot == self.kernel.OUTER:
+            self.outer_closed = True
+            if self.in_flight:
+                return
+        self.in_flight = False
+        while self.queued and not self.kernel.full:
+            super().push(self.kernel.OUTER, self.queued.popleft())
+        if self.kernel.full:
+            self._begin_block(final=False)
+        elif self.outer_closed:
             # Mirrors the sequential loop: a pending partial block is the
             # last one processed; an empty block ends the operator.
             if self.kernel.block:
                 self._begin_block(final=True)
             else:
                 self.parent.close(self.slot)
-        elif self.final_block:
-            self.parent.close(self.slot)
-        else:
+        elif self.paused:
+            self.paused = False
             self.outer_gate.unpause(self.sched)
 
     def _begin_block(self, final: bool) -> None:
-        self.final_block = final
-        self.outer_gate.pause()
+        self.in_flight, self.final_block = True, final
+        if not self.paused:
+            self.paused = True
+            self.outer_gate.pause()
         op = self.kernel.op
         request = op.inner.request.restricted(op.join_variable, self.kernel.seal())
         self.inputs[self.kernel.INNER].start(self.context.now(), request)

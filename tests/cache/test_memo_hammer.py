@@ -5,8 +5,7 @@ worker threads of an ``EnginePool``.  Before they moved onto the locked
 ``LRUCache`` two of them raced: the translation memo's unlocked
 ``move_to_end`` / ``popitem`` pair raised ``KeyError`` once eviction kicked
 in (``test_translation_memo_survives_eviction_under_threads`` reproduces
-exactly that access pattern), and the join-stream memo was cleared under
-readers.  The invariants asserted here: exact answers, no exception, and
+exactly that access pattern), and a memo was cleared under readers.  The invariants asserted here: exact answers, no exception, and
 on every region ``hits + misses`` equals the number of lookups actually
 performed — counted outside the caches — so a lost counter update shows.
 """
@@ -20,6 +19,7 @@ from collections import Counter
 
 import pytest
 
+import repro.core.engine as engine_module
 from repro.benchmark.baseline import NETWORK_CHOICES, POLICY_CHOICES
 from repro.cache import LRUCache, clear_memos, memo_stats, memos
 from repro.core import decompose_star_shaped
@@ -151,12 +151,13 @@ def test_compiled_holds_memo_under_threads(fast_switching):
 
 
 def test_pool_hammers_every_memo_region(
-    small_lslod_lake, fast_switching, counted_lookups
+    small_lslod_lake, fast_switching, counted_lookups, monkeypatch
 ):
     # Row and batch engines of one pool (shared plan/sub-result registry),
     # Q1-Q5 + Fig1 between them touch every memo region (probed: sql_blocks,
-    # star_columns, join_streams, translations, term_decoders,
-    # compiled_holds all see lookups under exec="batch").
+    # star_columns, run_scripts, translations, term_decoders,
+    # compiled_holds all see lookups under exec="batch").  Batch runs of a
+    # plan seen before record and replay run scripts across the threads.
     queries = list(BENCHMARK_QUERIES)
     policy, network = POLICY_CHOICES["aware"](), NETWORK_CHOICES["gamma1"]()
 
@@ -186,6 +187,11 @@ def test_pool_hammers_every_memo_region(
     # The reference runs above created the per-store regions; from here on
     # the set of LRUCache instances behind every region is fixed.
     caches = region_caches()
+    replayed = []
+    replay = engine_module.replay
+    monkeypatch.setattr(
+        engine_module, "replay", lambda *args: replayed.append(1) or replay(*args)
+    )
     counted_lookups.clear()
     before = lookups_by_region()
     failures: list[str] = []
@@ -207,6 +213,7 @@ def test_pool_hammers_every_memo_region(
 
     assert run_threads(worker) == []
     assert failures == []
+    assert replayed  # (about ten of the 24 batch runs replay)
     after = lookups_by_region()
     for name, instances in caches.items():
         performed = sum(counted_lookups[id(cache)] for cache in instances)

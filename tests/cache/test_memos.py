@@ -59,7 +59,7 @@ def test_regions_and_clear():
     assert set(stats) == {
         "sql_blocks",
         "star_columns",
-        "join_streams",
+        "run_scripts",
         "translations",
         "term_decoders",
         "compiled_holds",
@@ -83,7 +83,8 @@ def test_second_engine_shares_fetched_blocks():
     second, __ = batch_run(lake)  # new engine: sub-result cache is cold again
     moved = deltas(before, memo_stats())
     assert second == first
-    for region in ("sql_blocks", "star_columns", "join_streams"):
+    # run_scripts: the second run of the plan finds the first one's sighting.
+    for region in ("sql_blocks", "star_columns", "run_scripts"):
         hits, misses = moved[region]
         assert hits > 0 and misses == 0, (region, moved[region])
 
@@ -100,7 +101,7 @@ def test_relational_write_makes_per_store_memo_miss():
     moved = deltas(before, memo_stats())
     assert moved["sql_blocks"] == (0, 1)  # new data version: block re-fetched
     assert moved["star_columns"] == (1, 0)  # the RDF source did not change
-    assert moved["join_streams"] == (0, 1)  # child signature changed
+    assert moved["run_scripts"] == (0, 1)  # the plan's data signature changed
 
 
 def test_index_ddl_makes_sql_block_memo_miss():
@@ -135,7 +136,8 @@ def test_dropped_stores_are_collectable_while_their_blocks_are_cached():
     gc.collect()
     baseline = memo_stats()
     lake = mixed_lake()
-    batch_run(lake)
+    for __ in range(3):  # sighted, recorded, replayed: a run script is held
+        batch_run(lake)
     database = weakref.ref(lake.source("diseasome").database)
     graph = weakref.ref(lake.source("affymetrix").graph)
     held = memo_stats()
@@ -144,7 +146,7 @@ def test_dropped_stores_are_collectable_while_their_blocks_are_cached():
         assert held[region].capacity == baseline[region].capacity + capacity
     del lake
     gc.collect()
-    # Nothing cached pins a store: not its blocks, not a join-stream key.
+    # Nothing cached pins a store: not its blocks, not a run script or key.
     assert database() is None and graph() is None
     released = memo_stats()
     for region in ("sql_blocks", "star_columns"):

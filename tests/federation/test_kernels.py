@@ -20,12 +20,17 @@ holes).
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.cache import clear_memos, memo_stats
+from repro.cache import clear_memos
+from repro.cache.memos import run_scripts
+from repro.core.engine import ResultStream
 from repro.federation import RunContext
+from repro.federation.script import RunScript
 from repro.federation.batch import BatchBuilder
 from repro.federation.operators import (
     DependentJoin,
@@ -366,8 +371,8 @@ class TestEarlyClose:
     """LIMIT above a join abandons the join mid-stream.
 
     The join's kernel is dropped, not finished: the inserts that arrived
-    after its last output are never charged — under any driver — and the
-    columnar loop publishes no partial script to the ``join_streams`` memo.
+    after its last output are never charged — under any driver — and an
+    abandoned run publishes no partial script to the ``run_scripts`` memo.
     """
 
     #: Two answers reach LIMIT 1 (the second one stops the run); the
@@ -395,18 +400,34 @@ class TestEarlyClose:
         assert float.fromhex(final[1]) < float.fromhex(complete[1][1])
 
     def test_no_partial_join_stream_is_published(self):
+        # The join's stream is replayed as part of its run's script, which
+        # only a run that ended publishes — LIMIT's Done included, a
+        # consumer that walked away not.
         signatures = (("test-kernels", "l"), ("test-kernels", "r"), None)
+
+        def streamed(limit, take=None):
+            """(answers, final clock and engine cost) of the engine's run."""
+            op, context, __ = fresh(self.limited(limit), *self.INPUTS, signatures)
+            stream = iter(ResultStream(SimpleNamespace(root=op), context, own_clock=True))
+            answers = list(islice(stream, take))
+            stream.close()
+            return answers, Trace(context).stamp()
+
+        def published() -> int:
+            return sum(type(run_scripts.get(key)) is RunScript for key in run_scripts.keys())
+
         clear_memos()
-        pulled, __ = run_pull(self.limited(1), *self.INPUTS)
-        early, __ = run_batch(self.limited(1), *self.INPUTS, signatures=signatures)
-        assert early == pulled
-        assert memo_stats()["join_streams"].size == 0
-        # A complete run publishes; the next early close *replays* it and
-        # is still indistinguishable from the row plane.
-        run_batch(self.limited(None), *self.INPUTS, signatures=signatures)
-        assert memo_stats()["join_streams"].size == 1
-        hits = memo_stats()["join_streams"].hits
-        replayed, __ = run_batch(self.limited(1), *self.INPUTS, signatures=signatures)
-        assert memo_stats()["join_streams"].hits == hits + 1
-        assert replayed == pulled
+        full, __ = run_pull(self.limited(None), *self.INPUTS)
+        first = ([full[0][0][0]], full[0][0][1:])  # the complete run, at its 1st answer
+        limited, __ = run_pull(self.limited(1), *self.INPUTS)
+        limited = ([solution for solution, *__ in limited[0]], limited[1])
+        for __ in range(2):  # sighted, then recorded but abandoned
+            assert streamed(None, take=1) == first
+        assert published() == 0
+        for __ in range(3):  # sighted, recorded to its Done, replayed
+            assert streamed(1) == limited
+        assert published() == 1
+        streamed(None)  # recorded: the next abandoned run replays
+        assert streamed(None, take=1) == first
+        assert published() == 2
         clear_memos()

@@ -181,19 +181,21 @@ def build_lake(diseasome_text: str = TINY_DISEASOME) -> SemanticDataLake:
 
 
 class TestJoinStreamMemo:
-    """The cross-run join stream memo must never change results.
+    """A replayed run script — the join's stream and everything around it —
+    must never change results.
 
     The cross-source query forces a SymmetricHashJoin between the two
     lakes' service nodes (the single-source TINY_QUERY merges into one
-    SQL unit and never reaches the join operator).
+    SQL unit and never reaches the join operator).  A plan's first run
+    only sights its key, the second records the script, later ones replay.
     """
 
     def test_replay_is_bit_identical(self):
         lake = build_lake()
         clear_memos()
-        before = memo_stats()["join_streams"]
+        before = memo_stats()["run_scripts"]
         first = None
-        for __ in range(3):  # first run records, later runs replay
+        for __ in range(4):  # sight, record, replay, replay
             engine = FederatedEngine(lake, exec="batch")
             answers, stats = engine.run(TINY_CROSS_SOURCE_QUERY, seed=3)
             outcome = (answers, stats_signature(stats))
@@ -201,9 +203,10 @@ class TestJoinStreamMemo:
                 first = outcome
             else:
                 assert outcome == first
-        after = memo_stats()["join_streams"]
-        assert after.size == 1  # the join stream was memoized ...
-        assert after.hits - before.hits == 2  # ... and replayed twice
+        after = memo_stats()["run_scripts"]
+        assert after.size == 1  # the run script was memoized ...
+        assert after.hits - before.hits == 3  # ... and found by runs 2-4
+        assert first == run_pair(lake, TINY_CROSS_SOURCE_QUERY)[0]  # = live row
 
     def test_identical_lakes_do_not_collide(self):
         # Two different lakes with identical schemas, SQL text and data
@@ -220,9 +223,10 @@ class TestJoinStreamMemo:
             '<http://ex/diseasome/Disease/1> .\n'
         )
         lake_a, lake_b = build_lake(), build_lake(extra)
-        answers_a, __ = FederatedEngine(lake_a, exec="batch").run(
-            TINY_CROSS_SOURCE_QUERY, seed=3
-        )
+        for __ in range(2):  # lake_a's script is published before lake_b runs
+            answers_a, __ = FederatedEngine(lake_a, exec="batch").run(
+                TINY_CROSS_SOURCE_QUERY, seed=3
+            )
         answers_b, __ = FederatedEngine(lake_b, exec="batch").run(
             TINY_CROSS_SOURCE_QUERY, seed=3
         )
@@ -232,7 +236,8 @@ class TestJoinStreamMemo:
     def test_data_mutation_invalidates_replay(self):
         lake = build_lake()
         engine = FederatedEngine(lake, exec="batch")
-        before, __ = engine.run(TINY_CROSS_SOURCE_QUERY, seed=3)
+        for __ in range(3):  # the last run replays a script
+            before, __ = engine.run(TINY_CROSS_SOURCE_QUERY, seed=3)
         database = lake.source("diseasome").database
         disease = next(
             iter(database.execute("SELECT associateddisease FROM gene").as_dicts())
@@ -248,10 +253,11 @@ class TestJoinStreamMemo:
     def test_observed_runs_bypass_the_memo(self):
         lake = build_lake()
         clear_memos()
-        before = memo_stats()["join_streams"]
+        before = memo_stats()["run_scripts"]
         engine = FederatedEngine(lake, exec="batch")
-        __, __, observation = engine.observe(TINY_CROSS_SOURCE_QUERY, seed=3)
-        after = memo_stats()["join_streams"]
+        for __ in range(3):
+            __, __, observation = engine.observe(TINY_CROSS_SOURCE_QUERY, seed=3)
+        after = memo_stats()["run_scripts"]
         assert after.size == 0 and after.lookups == before.lookups
         # and the observed run still produced per-operator profiles
         report = observation.profile_report()

@@ -16,6 +16,7 @@ import sys
 from collections import Counter
 
 from repro import FederatedEngine, NetworkSetting, PlanPolicy
+from repro.cache import clear_memos
 from repro.datasets import BENCHMARK_QUERIES
 from repro.federation.operators import ServiceNode
 
@@ -41,25 +42,42 @@ def test_one_traced_query_reaches_every_patched_layer(small_lslod_lake):
     executed = leaves(planned_before.plan(query).root)
     assert executed == 2
 
+    def requests(result) -> int:
+        return sum(s.requests for s in result.stats.source_stats.values())
+
     tracer = Tracer()
     install(tracer)
     try:
         # A plan built (and cached) before the patches went in still reaches
-        # them: wrapper methods are looked up when a leaf executes.
+        # them: wrapper methods are looked up when a leaf executes.  Cleared
+        # memos make every traced execution a live one (no run script).
+        clear_memos()
         result = planned_before.execute(query, seed=7, exec="batch")
         assert result.collect() and result.stats.plan_cache_hit
         spans = Counter(span[0] for span in tracer.spans)
         assert spans["federation.operators"] == 1
         # Exactly one wrapper span per executed leaf (every wrapper
         # execution charges exactly one request).
-        assert sum(s.requests for s in result.stats.source_stats.values()) == executed
+        assert requests(result) == executed
         assert spans["federation.wrapper"] == executed
         assert spans["core.plan"] == 0
 
-        FederatedEngine(small_lslod_lake, *settings).execute(query, seed=7, exec="batch").collect()
+        clear_memos()
+        planned_after = FederatedEngine(small_lslod_lake, *settings)
+        planned_after.execute(query, seed=7, exec="batch").collect()
         spans = Counter(span[0] for span in tracer.spans)
         assert spans["core.plan"] == 1
         assert spans["mapping.translate"] == executed
         assert spans["federation.wrapper"] == 2 * executed
+
+        # The plan's second run records a run script, the third replays
+        # it: no wrapper runs, yet every leaf's request is counted.
+        planned_after.execute(query, seed=7, exec="batch").collect()
+        result = planned_after.execute(query, seed=8, exec="batch")
+        assert result.collect() and requests(result) == executed
+        spans = Counter(span[0] for span in tracer.spans)
+        assert spans["federation.wrapper"] == 3 * executed
+        assert spans["federation.operators"] == 4
     finally:
         tracer.restore()
+        clear_memos()

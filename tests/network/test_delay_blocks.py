@@ -4,7 +4,9 @@ Every network delay of a run is read from a block the run context refills
 ``_DELAY_BLOCK`` samples at a time, so the virtual timeline is the scalar
 one only if a block of *n* equals *n* consecutive ``sample`` calls on an
 identically seeded generator — across refills, and whatever the block
-sizes.  Compared as ``float.hex`` so a last-bit difference fails.
+sizes.  A replayed run script draws its delays with ``sample_array``, held
+to the same sequence.  Compared as ``float.hex`` so a last-bit difference
+fails.
 """
 
 from __future__ import annotations
@@ -59,6 +61,24 @@ def test_blocks_replay_the_scalar_sequence(model):
     blocks = [value for size in SIZES for value in model.sample_block(block_rng, size)]
     assert hexes(blocks) == hexes(scalar)
     assert all(type(value) is float for value in blocks)  # clocks stay float
-    # Both generators end in the same state: the next draw agrees too.
-    assert model.sample(block_rng) == model.sample(scalar_rng)
+    array_rng = np.random.default_rng(SEED)
+    arrays = [model.sample_array(array_rng, size) for size in SIZES]
+    assert all(array.dtype == np.float64 for array in arrays)
+    assert hexes(np.concatenate(arrays)) == hexes(scalar)
+    # The generators end in the same state: the next draw agrees too.
+    assert model.sample(block_rng) == model.sample(scalar_rng) == model.sample(array_rng)
 
+
+@pytest.mark.parametrize("n", (1, 3, 511, 512, 513, 2752))
+@pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
+def test_one_block_is_the_prefix_of_refills(model, n):
+    # A replayed run script's delays end in a short block (n of them); the
+    # live run it stands for drew them ``_DELAY_BLOCK`` at a time.
+    refill_rng = np.random.default_rng(SEED)
+    refills = []
+    while len(refills) < n:
+        refills.extend(model.sample_block(refill_rng, _DELAY_BLOCK))
+    block = model.sample_block(np.random.default_rng(SEED), n)
+    assert hexes(block) == hexes(refills[:n])
+    array = model.sample_array(np.random.default_rng(SEED), n)
+    assert hexes(array) == hexes(refills[:n])

@@ -20,9 +20,11 @@ from repro.benchmark.metrics import solution_key
 from repro.core.engine import FederatedEngine
 from repro.core.policy import PlanPolicy
 from repro.datasets import BENCHMARK_QUERIES
+from repro.federation.answers import RunContext
 from repro.federation.operators import DependentJoin, ServiceNode, SymmetricHashJoin
 from repro.network.delays import NetworkSetting
 from repro.runtime import RUNTIMES
+from repro.runtime.scheduler import EventScheduler
 
 from ..conftest import TINY_CROSS_SOURCE_QUERY, TINY_QUERY
 
@@ -191,6 +193,25 @@ def test_dependent_join_agrees_across_runtimes(tiny_lake):
             TINY_CROSS_SOURCE_QUERY, seed=9
         )
         assert multiset(answers) == multiset(answers_seq)
+
+
+@pytest.mark.parametrize("workers", (None, 2), ids=("event", "thread"))
+def test_one_outer_event_runs_one_inner_block_at_a_time(small_lslod_lake, workers):
+    """One outer event can release several solutions (a symmetric join's
+    probe into a bucket); with one-solution blocks each fills a block, and
+    the next block must wait for the inner one in flight — starting it at
+    once left the first inner stream unclosed and the scheduler stalled."""
+    plan = engine_for(small_lslod_lake, "sequential").plan(BENCHMARK_QUERIES["Q1"].text)
+    join = find_op(plan.root, SymmetricHashJoin)
+    inner = find_op(join.right, ServiceNode)
+    variable = join.join_variables[0]
+    assert variable in inner.variables
+    op = DependentJoin(join, inner, variable, block_size=1)
+    network = NetworkSetting.gamma1()
+    pulled = list(op.execute(RunContext(network=network, seed=3)))
+    scheduler = EventScheduler(op, RunContext(network=network, seed=3), pool_workers=workers)
+    pushed = [solution for __, solution in scheduler.run()]
+    assert len(pulled) > 1 and multiset(pushed) == multiset(pulled)
 
 
 def test_event_and_thread_modes_match_to_float_noise(small_lslod_lake):
