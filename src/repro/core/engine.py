@@ -20,7 +20,7 @@ from ..federation.answers import (
     RunContext,
     Solution,
 )
-from ..federation.script import SIGHTED, record, replay, script_key
+from ..federation.script import record, replay, script_key
 from ..network.clock import Clock, RecordingClock, VirtualClock
 from ..network.costmodel import CostModel, DEFAULT_COST_MODEL
 from ..network.delays import NetworkSetting
@@ -123,10 +123,8 @@ class ResultStream:
 
         An unobserved run on the engine's own clock is keyed by its plan
         root's data signature (:mod:`repro.federation.script`).  The first
-        run of a key only notes it (recording costs a third more than a
-        live run, and most keys of an ad-hoc workload never come back); the
-        second records a run script and publishes it if it runs to its end;
-        later ones replay it.
+        run of a key records a run script, at about the cost of running
+        live, and publishes it if it runs to its end; later ones replay it.
         """
         context = self.context
         root = self.plan.root
@@ -135,14 +133,10 @@ class ResultStream:
             key = script_key(root, context)
         if key is not None:
             script = run_scripts.get(key)
-            if script is None:
-                run_scripts.put(key, SIGHTED)
-                key = None
-            elif script is not SIGHTED:
+            if script is not None:
                 yield from replay(script, root, context)
                 return
-            else:
-                context.clock = RecordingClock()
+            context.clock = RecordingClock()
         yield from self._drain_batches()
         if key is not None:
             run_scripts.put(key, record(context.clock, root))
@@ -154,7 +148,8 @@ class ResultStream:
         # and the answer dict is built straight from the kept input
         # columns, which skips one generator hop and the aliased projected
         # batch (observed runs keep the operator so obs instrumentation
-        # sees it).  A recording clock notes each answer.
+        # sees it).  A recording clock logs the fused charge and notes each
+        # answer after its adds.
         from ..federation.operators import Project
 
         context = self.context
@@ -162,7 +157,12 @@ class ResultStream:
         stats = context.stats
         clock = context.clock
         clock_now = clock.now
-        mark = clock.mark if type(clock) is RecordingClock else None
+        recording = type(clock) is RecordingClock
+        if recording:
+            tags = clock.tags
+            add, tag = clock.adds.append, tags.append
+            note_position = clock.answer_positions.append
+            note_answer = clock.answers.append
         trace_append = stats.trace.append
         answers = stats.answers
         fused_cost = 0.0
@@ -174,6 +174,7 @@ class ResultStream:
             project_names = None
             stream = root.execute_batch(context)
         virtual = type(clock) is VirtualClock
+        direct = virtual or recording
         positive = fused_cost > 0
         derived: dict[int, tuple] = {}
         for batch, idx in stream:
@@ -181,6 +182,10 @@ class ResultStream:
                 if positive:
                     if virtual:
                         clock._now += fused_cost
+                    elif recording:
+                        clock._now += fused_cost
+                        add(fused_cost)
+                        tag(0)
                     else:
                         clock.sleep(fused_cost)
                     stats.engine_cost += fused_cost
@@ -199,7 +204,7 @@ class ResultStream:
                 pairs = entry[1]
             else:
                 pairs = batch.pairs
-            now = clock._now if virtual else clock_now()
+            now = clock._now if direct else clock_now()
             answers += 1
             stats.answers = answers
             if stats.time_to_first_answer is None:
@@ -211,8 +216,9 @@ class ResultStream:
                 for name, column in pairs
                 if (value := column[idx]) is not None
             }
-            if mark is not None:
-                mark(answer)
+            if recording:
+                note_position(len(tags))
+                note_answer(answer)
                 answer = answer.copy()
             yield answer
 

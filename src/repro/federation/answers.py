@@ -35,9 +35,10 @@ DEFAULT_BATCH_SIZE = 256
 _DELAY_BLOCK = 512
 
 #: Under a :class:`~repro.network.clock.RecordingClock` a source charge is
-#: tagged ``(source_id, kind)`` (untagged adds are engine work): source cost,
-#: or a request / answer message (a delay draw plus the message overhead).
-SOURCE_COST, REQUEST, ANSWER = "cost", "request", "answer"
+#: tagged its source's base plus its kind (0 is engine work): a request
+#: or answer message (a delay draw plus the message overhead), or source
+#: cost.  A tag is a message exactly when it is not a multiple of 3.
+REQUEST, ANSWER, SOURCE_COST = 1, 2, 3
 #: A wrapper marks ``(LOOKUP, wrapper, request)`` at its sub-result lookup
 #: and ``(PUBLISH, that mark)`` where the source is exhausted.
 LOOKUP, PUBLISH = "lookup", "publish"
@@ -290,7 +291,9 @@ class RunContext:
         pause = self.next_delay() + self.cost_model.message_overhead
         clock = self.clock
         if type(clock) is RecordingClock:
-            clock.sleep(pause, (source_id, REQUEST))
+            bases = clock.bases
+            clock._now += pause
+            clock.tags.append(bases.setdefault(source_id, 3 * len(bases)) + REQUEST)
         else:
             clock.sleep(pause)
         self.stats.messages += 1

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..rdf.terms import Term
-from ..network.clock import VirtualClock
+from ..network.clock import RecordingClock, VirtualClock
 from ..sparql.algebra import Filter, OrderCondition
 from ..sparql.expressions import ExpressionError, compile_holds, evaluate
 from .answers import ChargeBatch, RunContext, Solution
@@ -495,10 +495,13 @@ class SymmetricHashJoin(_Binary):
         active = [True, True]
         side = 0
         clock = context.clock
-        # Sequential batch runs always use a VirtualClock; advancing its
-        # ``_now`` directly is the same float add as ``sleep`` without the
-        # call.  Other clock types (event/thread task clocks) keep the call.
+        # Advancing ``_now`` directly is ``sleep``'s float add without the
+        # call (a recording clock also logs it); other clock types
+        # (event/thread task clocks, a caller's clock) keep the call.
         virtual = type(clock) is VirtualClock
+        recording = type(clock) is RecordingClock
+        if recording:
+            add, tag = clock.adds.append, clock.tags.append
         clock_sleep = clock.sleep
         stats = context.stats
         insert_probe = cost.engine_hash_insert + cost.engine_hash_probe
@@ -566,6 +569,10 @@ class SymmetricHashJoin(_Binary):
                     if pending > 0:
                         if virtual:
                             clock._now += pending
+                        elif recording:
+                            clock._now += pending
+                            add(pending)
+                            tag(0)
                         else:
                             clock_sleep(pending)
                         stats.engine_cost += pending
@@ -575,6 +582,10 @@ class SymmetricHashJoin(_Binary):
         if pending > 0:
             if virtual:
                 clock._now += pending
+            elif recording:
+                clock._now += pending
+                add(pending)
+                tag(0)
             else:
                 clock_sleep(pending)
             stats.engine_cost += pending

@@ -6,13 +6,13 @@ pure function of its block, cached or fetched; so a run's whole charge
 sequence is fixed by its plan's data (the root's ``data_signature``), the
 cost model and the batch size.  Only the delay draws depend on the seed.
 
-A key's second run (the first only marks it :data:`SIGHTED`) records that
-sequence on a :class:`~repro.network.clock.RecordingClock` — every add,
-source charges tagged ``(source, kind)``, one slot per delay draw — with
-the answers and the sub-result lookups and publishes between the adds
-(:func:`record`).  Later runs (:func:`replay`) yield the answers,
-re-issue each lookup and publish through the wrapper at its place, and
-work the clock out as far as it is read (:class:`_Timeline`).
+A key's first run records that sequence, at about the cost of running
+live, on a :class:`~repro.network.clock.RecordingClock`: every add with a
+small int tag (one slot per delay draw), the answers, and the sub-result
+lookups and publishes between them (:func:`record`).  Later runs
+(:func:`replay`) yield the answers, re-issue each lookup and publish
+through the wrapper at its place, and work the clock out as far as it is
+read (:class:`_Timeline`).
 
 Bit-identity rests on ``cumsum`` adding left to right, like the live
 ``+=`` chain, and on a tag's total being the ``cumsum`` of its
@@ -22,6 +22,8 @@ subsequence; ``np.sum`` adds pairwise and is *not* identical
 
 from __future__ import annotations
 
+import struct
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -30,10 +32,6 @@ from ..network.clock import RecordingClock
 from .answers import ANSWER, LOOKUP, PUBLISH, REQUEST, SOURCE_COST, _DELAY_BLOCK
 from .answers import RunContext, Solution, SourceStats
 from .operators import FedOperator, ServiceNode
-
-
-#: The ``run_scripts`` value of a key run once: its next run records.
-SIGHTED = "sighted"
 
 
 def script_key(root: FedOperator, context: RunContext) -> tuple | None:
@@ -58,56 +56,44 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _positions_by_tag(tags: list) -> dict:
-    """Each distinct tag's add positions, ascending, in first-seen order."""
-    codes: dict = {}
-    code_of = np.fromiter(
-        (codes.setdefault(tag, len(codes)) for tag in tags), np.intp, len(tags)
-    )
-    order = _frozen(np.argsort(code_of, kind="stable"))
-    ends = np.cumsum(np.bincount(code_of, minlength=len(codes)))
-    return dict(zip(codes, np.split(order, ends[:-1])))
+class _Charges:
+    """A recorded run's clock adds, as read-only arrays.
 
-
-class RunScript:
-    """One finished run, as read-only arrays and values.
-
-    ``values`` is every clock add in order; the adds at ``slots`` are
-    network messages, whose recorded delay a replay replaces with a fresh
-    draw.  ``engine`` and each entry of ``sources`` (in the order the
-    sources were first requested) locate a tag's adds: fixed costs with
-    their running totals, message delays with the requests among them.
-    ``events`` are what happened between the adds, the i-th after
-    ``positions[i]`` of them: an answer (its dict), a sub-result lookup
-    ``(LOOKUP, leaf ordinal, request)``, and ``(PUBLISH, lookup number)``
-    where the run exhausted that leaf.  Requests are values (a restricted
-    one carries its block's terms); no store, wrapper, plan or context is
-    held.
+    ``values`` is every add in order; the adds at ``slots`` are network
+    messages, zero here, whose delays a replay draws afresh.  ``engine`` and
+    each entry of ``sources`` (in first-request order) locate a tag's adds:
+    fixed costs with their running totals, message delays with the requests
+    among them.  The k-th answer comes after ``answer_positions[k]`` adds.
     """
 
-    def __init__(self, adds: list, tags: list, events: list, positions: list):
-        self.values = _frozen(np.array(adds, dtype=np.float64))
-        by_tag = _positions_by_tag(tags)
-        none = _frozen(np.empty(0, np.intp))
-        self.engine = self._costs(by_tag.get(None, none))
+    def __init__(self, adds: list, tags: list, bases: dict, answer_positions: list):
+        # ``struct`` packs a list in one C loop, twice as fast as
+        # ``np.array``'s per-element conversion.
+        code = "h" if len(bases) < 10_000 else "q"
+        tags = np.frombuffer(struct.pack(f"{len(tags)}{code}", *tags), code)
+        messages = tags % 3
+        self.slots = _frozen(np.flatnonzero(messages))
+        # A message logged no duration: a replay fills its slot with a draw.
+        values = np.zeros(len(tags))
+        values[messages == 0] = np.frombuffer(struct.pack(f"{len(adds)}d", *adds))
+        self.values = _frozen(values)
+        # A stable int16 argsort is a radix sort: one pass groups every
+        # tag's positions, ascending, in tag order.
+        order = _frozen(np.argsort(tags, kind="stable"))
+        ends = np.cumsum(np.bincount(tags, minlength=3 * len(bases) + 1))
+        by_tag = np.split(order, ends[:-1])
+        self.engine = self._costs(by_tag[0])
         #: (source_id, its costs, its delay positions, its request positions)
         self.sources = [
             (
-                tag[0],
-                self._costs(by_tag.get((tag[0], SOURCE_COST), none)),
-                _frozen(np.union1d(requests, by_tag.get((tag[0], ANSWER), none))),
-                requests,
+                source_id,
+                self._costs(by_tag[base + SOURCE_COST]),
+                _frozen(np.sort(order[ends[base] : ends[base + ANSWER]])),
+                by_tag[base + REQUEST],
             )
-            for tag, requests in by_tag.items()
-            if tag is not None and tag[1] == REQUEST
+            for source_id, base in bases.items()
         ]
-        self.slots = _frozen(
-            np.sort(np.concatenate([none] + [source[2] for source in self.sources]))
-        )
-        self.events = events
-        self.positions = _frozen(np.array(positions, dtype=np.intp))
-        answers = np.array([type(event) is dict for event in events], dtype=bool)
-        self.answer_positions = _frozen(self.positions[answers])
+        self.answer_positions = _frozen(np.array(answer_positions, dtype=np.intp))
         # The message count and engine cost the live run shows at each
         # answer: seed-independent, so worked out once here.
         self.answer_messages = np.searchsorted(self.slots, self.answer_positions).tolist()
@@ -119,6 +105,34 @@ class RunScript:
     def _costs(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fixed-cost positions and their running totals (seed-independent)."""
         return positions, _frozen(np.cumsum(self.values[positions]))
+
+
+class RunScript:
+    """One finished run, as values.
+
+    ``answers`` are the answer dicts in order; ``events`` are ``(answers
+    before it, event)``: a sub-result lookup ``(LOOKUP, leaf ordinal,
+    request)``, or ``(PUBLISH, lookup number)`` where the run exhausted
+    that leaf.  Requests are values (a restricted one carries its block's
+    terms); no store, wrapper, plan or context is held.  The clock's logs
+    become :class:`_Charges` on the first replay: most runs of an ad-hoc
+    workload never come back.
+    """
+
+    def __init__(self, answers: list[dict], events: list[tuple], log: tuple):
+        self.answers, self.events = answers, events
+        self._log: tuple | None = log  # what builds the _Charges
+        self._charges: _Charges | None = None
+
+    def charges(self) -> _Charges:
+        """Built once.  The log is read first: a concurrent first replay sets
+        the arrays before it drops the log (both may build, equal values)."""
+        log = self._log
+        charges = self._charges
+        if charges is None:
+            charges = self._charges = _Charges(*log)
+            self._log = None
+        return charges
 
 
 class _Timeline:
@@ -133,9 +147,9 @@ class _Timeline:
     waits only for the draws before it.
     """
 
-    def __init__(self, script: RunScript, context: RunContext):
-        self.script, self.context = script, context
-        self.values = script.values.copy()
+    def __init__(self, charges: _Charges, context: RunContext):
+        self.charges, self.context = charges, context
+        self.values = charges.values.copy()
         #: clock_at[i]: the clock after i adds (an engine-owned clock
         #: starts at 0); final up to ``reached``.
         self.clock_at = np.zeros(len(self.values) + 1)
@@ -149,8 +163,8 @@ class _Timeline:
         which are delay slots: draw those (at least a block of slots after
         the first stretch, which serves the first answer) and carry the
         clock up to the next undrawn slot."""
-        script, context = self.script, self.context
-        slots, values, clock_at = script.slots, self.values, self.clock_at
+        charges, context = self.charges, self.context
+        slots, values, clock_at = charges.slots, self.values, self.clock_at
         start, drawn = self.reached, self.drawn
         if start < position:
             count = min(max(below - drawn, self.block), len(slots) - drawn)
@@ -171,9 +185,9 @@ class _Timeline:
     def reach_answer(self, answer: int) -> int:
         """Work the clock out through the *answer*-th answer (from 0);
         returns how many answers' clock values ``answer_times`` holds."""
-        script = self.script
-        positions = script.answer_positions
-        self.reach(int(positions[answer]), script.answer_messages[answer])
+        charges = self.charges
+        positions = charges.answer_positions
+        self.reach(int(positions[answer]), charges.answer_messages[answer])
         known = len(self.answer_times)
         within = int(np.searchsorted(positions, self.reached, "right"))
         self.answer_times.extend(self.clock_at[positions[known:within]].tolist())
@@ -182,7 +196,7 @@ class _Timeline:
     def settle(self, position: int) -> None:
         """Set the context's clock and counters to what the live run shows
         after its first *position* adds."""
-        script, stats = self.script, self.context.stats
+        charges, stats = self.charges, self.context.stats
 
         def upto(positions: np.ndarray) -> int:
             return int(np.searchsorted(positions, position))
@@ -191,11 +205,11 @@ class _Timeline:
             count = upto(costs[0])
             return float(costs[1][count - 1]) if count else 0.0
 
-        stats.messages = messages = upto(script.slots)
+        stats.messages = messages = upto(charges.slots)
         self.reach(position, messages)
         self.context.clock._now = float(self.clock_at[position])
-        stats.engine_cost = total(script.engine)
-        for source_id, costs, delays, requests in script.sources:
+        stats.engine_cost = total(charges.engine)
+        for source_id, costs, delays, requests in charges.sources:
             count = upto(delays)
             if not count:
                 break  # sources are ordered by their first request
@@ -208,24 +222,22 @@ class _Timeline:
 
 def record(clock: RecordingClock, root: FedOperator) -> RunScript:
     """The script of the finished run *clock* recorded while running *root*:
-    the marks' wrappers become leaf ordinals, a publish names its lookup by
-    number."""
+    a lookup's wrapper becomes its leaf ordinal, a publish names its lookup
+    by number."""
     ordinals: dict[int, int] = {}
     for ordinal, leaf in enumerate(_leaves(root)):
         ordinals.setdefault(id(leaf.wrapper), ordinal)
     lookups: dict[int, int] = {}
-    positions = []
     events = []
-    for position, event in clock.marks:
-        if type(event) is tuple:
-            if event[0] == LOOKUP:
-                lookups[id(event)] = len(lookups)
-                event = (LOOKUP, ordinals[id(event[1])], event[2])
-            else:
-                event = (PUBLISH, lookups[id(event[1])])
-        positions.append(position)
-        events.append(event)
-    return RunScript(clock.adds, clock.tags, events, positions)
+    for answered, event in clock.events:
+        if event[0] == LOOKUP:
+            lookups[id(event)] = len(lookups)
+            event = (LOOKUP, ordinals[id(event[1])], event[2])
+        else:
+            event = (PUBLISH, lookups[id(event[1])])
+        events.append((answered, event))
+    log = (clock.adds, clock.tags, clock.bases, clock.answer_positions)
+    return RunScript(clock.answers, events, log)
 
 
 def replay(
@@ -237,33 +249,37 @@ def replay(
     are set as it sets them; each source's counters are settled when the
     stream ends or is closed."""
     leaves = _leaves(root)
-    timeline = _Timeline(script, context)
+    charges = script.charges()
+    timeline = _Timeline(charges, context)
     times = timeline.answer_times
-    answer_messages, answer_engine = script.answer_messages, script.answer_engine
+    answers = script.answers
+    answer_messages, answer_engine = charges.answer_messages, charges.answer_engine
     clock = context.clock
     stats = context.stats
     trace_append = stats.trace.append
     misses: list = []  # per lookup: (cache, key, fetched block), or None
-    index = -1  # the last event reached
     answered = ready = 0  # answers taken, answers within the clock's reach
     finished = False
     try:
-        for index, event in enumerate(script.events):
-            if type(event) is dict:
+        for before, event in chain(script.events, ((len(answers), None),)):
+            while answered < before:
                 if answered == ready:
                     ready = timeline.reach_answer(answered)
                 now = times[answered]
                 clock._now = now
                 stats.messages = answer_messages[answered]
                 stats.engine_cost = answer_engine[answered]
+                answer = answers[answered]
                 answered += 1
                 stats.answers = answered
                 if answered == 1:
                     stats.time_to_first_answer = now
                 trace_append((now, answered))
                 stats.execution_time = now
-                yield event.copy()  # the script's own dict never leaves it
-            elif event[0] == LOOKUP:
+                yield answer.copy()  # the script's own dict never leaves it
+            if event is None:
+                break
+            if event[0] == LOOKUP:
                 __, ordinal, request = event
                 wrapper = leaves[ordinal].wrapper
                 subresults, key, block = wrapper._lookup(context, request)
@@ -278,7 +294,7 @@ def replay(
         finished = True
     finally:
         if finished:
-            position = len(script.values)
+            position = len(charges.values)
         else:
-            position = int(script.positions[index]) if index >= 0 else 0
+            position = int(charges.answer_positions[answered - 1]) if answered else 0
         timeline.settle(position)

@@ -139,14 +139,16 @@ def _charge(
     and both source kinds.  Every delay comes from the context's
     block-sampled buffer (see :meth:`RunContext.next_delay`), inlined here
     with the clock and counter updates to save a call per answer.  Under a
-    :class:`RecordingClock` the adds carry their ``(source, kind)`` tag.
+    :class:`RecordingClock` each add is also logged with its tag, inline.
     """
     clock = context.clock
     virtual = type(clock) is VirtualClock
-    charge_cost = charge_delay = clock.sleep
-    if type(clock) is RecordingClock:
-        charge_cost = clock.tagged((source_id, SOURCE_COST))
-        charge_delay = clock.tagged((source_id, ANSWER))
+    recording = type(clock) is RecordingClock
+    clock_sleep = clock.sleep
+    if recording:
+        add, tag = clock.adds.append, clock.tags.append
+        base = clock.bases[source_id]  # the request charged it
+        cost_tag, answer_tag = base + SOURCE_COST, base + ANSWER
     stats = context.stats
     src = stats.source(source_id)
     overhead = context.cost_model.message_overhead
@@ -160,16 +162,24 @@ def _charge(
             if pre_cost > 0:
                 if virtual:
                     clock._now += pre_cost
+                elif recording:
+                    clock._now += pre_cost
+                    add(pre_cost)
+                    tag(cost_tag)
                 else:
-                    charge_cost(pre_cost)
+                    clock_sleep(pre_cost)
                 src.virtual_cost += pre_cost
             if handle is None and not drops_cross_network:
                 continue
             if output_positive:
                 if virtual:
                     clock._now += output_cost
+                elif recording:
+                    clock._now += output_cost
+                    add(output_cost)
+                    tag(cost_tag)
                 else:
-                    charge_cost(output_cost)
+                    clock_sleep(output_cost)
                 src.virtual_cost += output_cost
             cursor = context._delay_cursor
             buffer = context._delay_buffer
@@ -180,8 +190,11 @@ def _charge(
             pause = buffer[cursor] + overhead
             if virtual:
                 clock._now += pause
+            elif recording:
+                clock._now += pause
+                tag(answer_tag)
             else:
-                charge_delay(pause)
+                clock_sleep(pause)
             stats.messages += 1
             src.answers += 1
             src.network_delay += pause
@@ -191,8 +204,12 @@ def _charge(
         if residual > 0:
             if virtual:
                 clock._now += residual
+            elif recording:
+                clock._now += residual
+                add(residual)
+                tag(cost_tag)
             else:
-                charge_cost(residual)
+                clock_sleep(residual)
             src.virtual_cost += residual
     finally:
         if context.exec_mode == "batch":

@@ -61,35 +61,36 @@ class VirtualClock:
 class RecordingClock(VirtualClock):
     """A :class:`VirtualClock` that logs every add and the events between them.
 
-    ``sleep(seconds, tag)`` also appends the duration and its tag to
-    ``adds`` / ``tags``; ``mark(event)`` notes *event* at the current log
-    position.  Being a subclass is the point: the inlined
-    ``clock._now += x`` fast paths are taken only for exactly a
-    :class:`VirtualClock`, so under this clock every add lands in the log.
+    Every add appends a small int to ``tags``: 0 for engine work (what
+    :meth:`sleep` logs), else its source's base (three times the source's
+    rank in ``bases``) plus its kind; a fixed charge also appends its
+    duration to ``adds``.  The hot add sites inline ``clock._now += x`` and
+    the appends; the fast paths of a plain clock are taken only for exactly
+    a :class:`VirtualClock`, so any other add lands in :meth:`sleep`.
+    ``answers`` / ``answer_positions`` are the answers and the adds before
+    each; ``mark(event)`` notes an event with the answers before it.
     """
 
-    __slots__ = ("adds", "tags", "marks")
+    __slots__ = ("adds", "tags", "bases", "answers", "answer_positions", "events")
 
     def __init__(self):
         super().__init__()
         self.adds: list[float] = []
-        self.tags: list = []
-        self.marks: list[tuple[int, object]] = []
+        self.tags: list[int] = []
+        self.bases: dict[str, int] = {}
+        self.answers: list[dict] = []
+        self.answer_positions: list[int] = []
+        self.events: list[tuple[int, object]] = []
 
-    def sleep(self, seconds: float, tag=None) -> None:
+    def sleep(self, seconds: float) -> None:
         if seconds < 0:
             raise ValueError("cannot sleep a negative duration")
         self._now += seconds
         self.adds.append(seconds)
-        self.tags.append(tag)
-
-    def tagged(self, tag):
-        """``sleep(·, tag)`` as a one-argument function."""
-        sleep = self.sleep
-        return lambda seconds: sleep(seconds, tag)
+        self.tags.append(0)
 
     def mark(self, event) -> None:
-        self.marks.append((len(self.adds), event))
+        self.events.append((len(self.answers), event))
 
 
 class RealClock:

@@ -3,8 +3,9 @@
 Each query runs under every base :class:`~repro.core.policy.PlanPolicy` ×
 {star, triple-wise decomposition} × {caches on, caches off} under gamma-1
 delays; cached configurations run twice (cold, then warm — at the next
-seed under the sequential runtime) so cache-induced wrong answers are
-caught too.  Each execution's answers are diffed against the reference
+seed under the sequential runtime, where a batch warm run replays the
+cold run's script) so cache-induced wrong answers are caught too.  Each
+execution's answers are diffed against the reference
 evaluator and every produced plan is audited by the invariant checker.
 
 Comparison semantics follow the engine's documented behaviour:
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from ..benchmark.metrics import answer_set, solution_key
+from ..cache.memos import run_scripts
 from ..core.engine import FederatedEngine
 from ..core.policy import DecompositionKind, PlanPolicy
 from ..exceptions import ReproError
@@ -69,7 +71,7 @@ class Mismatch:
     """One disagreement between a configuration and the oracle."""
 
     config: str
-    kind: str  # "answers" | "count" | "order" | "duplicates" | "cache" | "invariant" | "error"
+    kind: str  # "answers" | "count" | "order" | "duplicates" | "cache" | "script" | "invariant" | "error"
     detail: str
 
     def describe(self) -> str:
@@ -330,6 +332,7 @@ def check_case_on_lake(
             # the event runtimes arrival order follows the delays (a LIMIT
             # could keep other, equally correct rows): same seed there.
             run_seed = seed + run_index if config.runtime == "sequential" else seed
+            replays = run_scripts.stats().hits
             try:
                 answers, stats = engine.run(query_text, seed=run_seed)
             except ReproError as exc:
@@ -338,6 +341,11 @@ def check_case_on_lake(
                 )
                 failed = True
                 break
+            # A sequential batch warm run replays the cold run's script: the
+            # exec check below then holds a replay against the live row run.
+            if run_index and (config.runtime, config.exec) == ("sequential", "batch"):
+                if run_scripts.stats().hits == replays:
+                    mismatches.append(Mismatch(config.name, "script", f"{label}: no replay"))
             runs.append(answers)
             recorded.append((answers, _stats_signature(stats, config.runtime)))
             mismatches.extend(

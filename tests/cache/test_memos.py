@@ -83,7 +83,8 @@ def test_second_engine_shares_fetched_blocks():
     second, __ = batch_run(lake)  # new engine: sub-result cache is cold again
     moved = deltas(before, memo_stats())
     assert second == first
-    # run_scripts: the second run of the plan finds the first one's sighting.
+    # run_scripts: the second run of the plan replays the first one's
+    # recording, re-issuing its fetches (the sub-result cache is new).
     for region in ("sql_blocks", "star_columns", "run_scripts"):
         hits, misses = moved[region]
         assert hits > 0 and misses == 0, (region, moved[region])
@@ -133,27 +134,31 @@ def test_graph_write_makes_star_columns_memo_miss():
 
 
 def test_dropped_stores_are_collectable_while_their_blocks_are_cached():
-    gc.collect()
-    baseline = memo_stats()
-    lake = mixed_lake()
-    for __ in range(3):  # sighted, recorded, replayed: a run script is held
-        batch_run(lake)
-    database = weakref.ref(lake.source("diseasome").database)
-    graph = weakref.ref(lake.source("affymetrix").graph)
-    held = memo_stats()
-    for region, capacity in (("sql_blocks", 64), ("star_columns", 32)):
-        assert held[region].size > baseline[region].size
-        assert held[region].capacity == baseline[region].capacity + capacity
-    del lake
-    gc.collect()
-    # Nothing cached pins a store: not its blocks, not a run script or key.
-    assert database() is None and graph() is None
-    released = memo_stats()
-    for region in ("sql_blocks", "star_columns"):
-        # The per-store regions went with the stores; their counters stay.
-        assert released[region].capacity == baseline[region].capacity
-        assert released[region].size == baseline[region].size
-        assert released[region].lookups == held[region].lookups
+    # One run leaves its recording in the memo; a second one replays it.
+    for runs in (1, 2):
+        clear_memos()
+        gc.collect()
+        baseline = memo_stats()
+        lake = mixed_lake()
+        for __ in range(runs):
+            batch_run(lake)
+        database = weakref.ref(lake.source("diseasome").database)
+        graph = weakref.ref(lake.source("affymetrix").graph)
+        held = memo_stats()
+        assert held["run_scripts"].size == 1, runs  # a run script is held
+        for region, capacity in (("sql_blocks", 64), ("star_columns", 32)):
+            assert held[region].size > baseline[region].size
+            assert held[region].capacity == baseline[region].capacity + capacity
+        del lake
+        gc.collect()
+        # Nothing cached pins a store: not its blocks, not a run script or key.
+        assert database() is None and graph() is None, runs
+        released = memo_stats()
+        for region in ("sql_blocks", "star_columns"):
+            # The per-store regions went with the stores; their counters stay.
+            assert released[region].capacity == baseline[region].capacity
+            assert released[region].size == baseline[region].size
+            assert released[region].lookups == held[region].lookups
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,8 @@ including streams closed early.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from itertools import islice
 
 import numpy as np
@@ -35,6 +37,7 @@ from repro.federation.operators import (
     SymmetricHashJoin,
 )
 from repro.federation.script import _leaves
+from repro.network.clock import RecordingClock
 from repro.network.costmodel import DEFAULT_COST_MODEL
 from repro.network.delays import GammaDelay
 from repro.rdf import Variable
@@ -260,9 +263,9 @@ def test_replays_match_live_row_runs(small_lslod_lake, replays, query, policy):
         clear_memos()
         batch, row = engines(small_lslod_lake, policy, network)
         before = len(replays)
-        # The first run sights the key, the second records, the rest replay.
+        # The first run records, the rest (its own seed again too) replay.
         same_runs(batch, row, text, (RECORD_SEED, RECORD_SEED, *REPLAY_SEEDS))
-        assert len(replays) - before == len(REPLAY_SEEDS), network
+        assert len(replays) - before == 1 + len(REPLAY_SEEDS), network
 
 
 @pytest.mark.parametrize("policy", ("aware", "dependent"))
@@ -275,8 +278,9 @@ def test_a_replay_closed_early_shows_the_live_prefix(
     total = len(same_runs(batch, row, text, (RECORD_SEED, RECORD_SEED)))
     for take in (0, 1, total // 2):
         same_runs(batch, row, text, (REPLAY_SEEDS[0],), take)
-    # Closing after 0 answers never starts the stream; 1 and n/2 replay.
-    assert len(replays) == 2
+    # The second run replays; closing after 0 answers never starts the
+    # stream, 1 and n/2 replay.
+    assert len(replays) == 3
 
 
 def at_each_answer(engine, text, seed) -> list:
@@ -320,16 +324,18 @@ def test_a_replay_is_current_at_every_answer(
     for seed in REPLAY_SEEDS:
         replayed = at_each_answer(batch, text, seed)
         assert replayed == at_each_answer(row, text, seed), seed
-    assert len(replays) == len(REPLAY_SEEDS)
+    assert len(replays) == 1 + len(REPLAY_SEEDS)
 
 
 def test_an_abandoned_recording_is_never_published(small_lslod_lake, replays):
     text = BENCHMARK_QUERIES["Q3"].text
     batch, row = engines(small_lslod_lake)
-    same_runs(batch, row, text, (RECORD_SEED,))
-    same_runs(batch, row, text, (RECORD_SEED,), take=1)  # records, abandoned
+    total = len(engines(small_lslod_lake)[1].run(text, seed=RECORD_SEED)[0])
+    for take in (0, 1, total // 2):  # each a first run: records, abandoned
+        same_runs(batch, row, text, (RECORD_SEED,), take)
+        assert memo_stats()["run_scripts"].size == 0, take
     same_runs(batch, row, text, (RECORD_SEED,))  # records again, publishes
-    assert replays == []
+    assert replays == [] and memo_stats()["run_scripts"].size == 1
     same_runs(batch, row, text, REPLAY_SEEDS)
     assert len(replays) == 2
 
@@ -352,7 +358,7 @@ def test_a_dependent_join_replays_a_cleared_subresult_cache(small_lslod_lake, re
     __, stats, keys = outcome
     hits, misses = stats[-3:-1]
     assert misses > 1 and len(keys) == misses  # every fetched block published
-    assert len(replays) == 1
+    assert len(replays) == 2  # the second run, and this one
 
 
 def test_a_limit_over_a_join_replays_its_truncated_run(small_lslod_lake, replays):
@@ -365,6 +371,27 @@ def test_a_limit_over_a_join_replays_its_truncated_run(small_lslod_lake, replays
     same_runs(batch, row, text, (RECORD_SEED, RECORD_SEED, *REPLAY_SEEDS))
     same_runs(batch, row, text, (RECORD_SEED,), take=2)
     after = memo_stats()["run_scripts"]
-    # One sighting miss; the recording run and three replays hit.
+    # The recording run misses; the four runs after it replay.
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 4)
-    assert len(replays) == 3
+    assert len(replays) == 4
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("query", ("Q1", "Q3", "Fig1"))
+def test_a_recording_logs_source_charges_inline(
+    small_lslod_lake, replays, monkeypatch, query, policy
+):
+    # Recording costs about what running live does because the source
+    # charges log straight into the clock's lists, never through a call.
+    callers = Counter()
+    sleep = RecordingClock.sleep
+
+    def counted(self, seconds):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        sleep(self, seconds)
+
+    monkeypatch.setattr(RecordingClock, "sleep", counted)
+    batch, row = engines(small_lslod_lake, policy)
+    same_runs(batch, row, BENCHMARK_QUERIES[query].text, (RECORD_SEED,))
+    assert memo_stats()["run_scripts"].size == 1  # the run recorded
+    assert callers["_charge"] == callers["charge_request"] == 0, callers

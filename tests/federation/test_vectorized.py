@@ -187,7 +187,7 @@ class TestJoinStreamMemo:
     The cross-source query forces a SymmetricHashJoin between the two
     lakes' service nodes (the single-source TINY_QUERY merges into one
     SQL unit and never reaches the join operator).  A plan's first run
-    only sights its key, the second records the script, later ones replay.
+    records the script, later ones replay it.
     """
 
     def test_replay_is_bit_identical(self):
@@ -195,7 +195,7 @@ class TestJoinStreamMemo:
         clear_memos()
         before = memo_stats()["run_scripts"]
         first = None
-        for __ in range(4):  # sight, record, replay, replay
+        for __ in range(4):  # record, then replay three times
             engine = FederatedEngine(lake, exec="batch")
             answers, stats = engine.run(TINY_CROSS_SOURCE_QUERY, seed=3)
             outcome = (answers, stats_signature(stats))
