@@ -30,7 +30,6 @@ __all__ = [
     "RowView",
     "BatchBuilder",
     "Handle",
-    "single_solution_batch",
     "chunk_columns",
     "MergePlan",
 ]
@@ -76,9 +75,10 @@ Handle = tuple[SolutionBatch, int]
 class RowView(Mapping):
     """A read-only dict view of one batch row.
 
-    Implements exactly the Mapping surface the expression evaluator and the
-    sort-key builders use (``in``, ``[]``, iteration), skipping holes so it
-    is observationally identical to the row-mode solution dict.
+    Implements the Mapping surface the expression evaluator, the sort-key
+    builders and the operator kernels use (``in``, ``[]``, ``get``,
+    iteration), skipping holes so it is observationally identical to the
+    row-mode solution dict.
     """
 
     __slots__ = ("batch", "idx")
@@ -122,24 +122,21 @@ class BatchBuilder:
     """Accumulates rows of one shape into a live batch, rotating at capacity.
 
     ``append`` returns the handle of the appended row.  When the current
-    batch reaches *capacity* the builder starts a fresh one and reports the
-    completed fill through ``take_completed`` (feeding the obs batch-fill
-    histogram); handles into rotated-out batches remain valid.
+    batch reaches *capacity* the builder starts a fresh one; handles into
+    rotated-out batches remain valid.
     """
 
-    __slots__ = ("names", "capacity", "batch", "count", "completed")
+    __slots__ = ("names", "capacity", "batch", "count")
 
     def __init__(self, names: tuple[str, ...], capacity: int):
         self.names = names
         self.capacity = capacity
         self.batch = SolutionBatch(names, [[] for __ in names])
         self.count = 0
-        self.completed: list[int] = []
 
     def append(self, values: Iterable[Term | None]) -> Handle:
         idx = self.count
         if idx >= self.capacity:
-            self.completed.append(idx)
             self.batch = SolutionBatch(self.names, [[] for __ in self.names])
             idx = 0
         batch = self.batch
@@ -164,7 +161,6 @@ class BatchBuilder:
         """
         idx = self.count
         if idx >= self.capacity:
-            self.completed.append(idx)
             self.batch = SolutionBatch(self.names, [[] for __ in self.names])
             idx = 0
         batch = self.batch
@@ -178,20 +174,6 @@ class BatchBuilder:
             position += 1
         self.count = idx + 1
         return (batch, idx)
-
-    def take_completed(self) -> list[int]:
-        """Fills of all finished batches (including the current partial one)."""
-        fills = self.completed
-        if self.count:
-            fills = fills + [self.count]
-        self.completed = []
-        return fills
-
-
-def single_solution_batch(solution: Solution) -> Handle:
-    """Wrap one row-mode dict as a single-row batch (adapter fallback)."""
-    names = tuple(solution)
-    return (SolutionBatch(names, [[solution[name]] for name in names]), 0)
 
 
 def chunk_columns(

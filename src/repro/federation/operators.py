@@ -13,8 +13,11 @@ quantity the paper's heuristics trade against source work and transfer.
 
 Each operator has one :class:`Kernel` (its per-execution state and charges)
 next to it: ``execute`` pulls it, :mod:`repro.runtime.nodes` pushes it, and
-the columnar ``execute_batch`` loops re-implement its charge sequence.
-Operators keep no cross-run state: a repeated sequential batch run is
+the base ``execute_batch`` pulls it over handles seen as :class:`RowView`
+objects.  Only the operators every benchmark plan is built from
+(``ServiceNode``, ``EngineFilter``, ``SymmetricHashJoin``, ``Project``) keep
+a columnar loop beside their kernel, held to its charge sequence by
+``tests/federation/test_kernels.py``.  Operators keep no cross-run state: a repeated sequential batch run is
 replayed whole from its recorded charge script
 (:mod:`repro.federation.script`), keyed by the plan root's
 :meth:`FedOperator.data_signature`.
@@ -23,6 +26,7 @@ replayed whole from its recorded charge script
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..rdf.terms import Term
@@ -36,7 +40,6 @@ from .batch import (
     MergePlan,
     RowView,
     SolutionBatch,
-    single_solution_batch,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -102,10 +105,30 @@ def _drive(kernel: Kernel, streams: list[Iterator]) -> Iterator:
     yield from kernel.finish()
 
 
-def _adapt(solutions: Iterable[Solution]) -> Iterator[Handle]:
-    """A row stream as single-row batches (at row-mode speed)."""
-    for solution in solutions:
-        yield single_solution_batch(solution)
+def _rows(child: "FedOperator", context: RunContext, *request) -> Iterator[Solution]:
+    """The row plane's child stream."""
+    return child.execute(context, *request)
+
+
+def _views(child: "FedOperator", context: RunContext, *request) -> Iterator[RowView]:
+    """The batch plane's child stream: each handle seen as a :class:`RowView`."""
+    return starmap(RowView, child.execute_batch(context, *request))
+
+
+def _handles(outputs: Iterable, batch_size: int) -> Iterator[Handle]:
+    """A kernel's outputs on the batch plane: a view is its handle again, and
+    a solution the kernel built (a join's merged dict) is appended to one
+    batch per shape, so consumers downstream still see full batches."""
+    builders: dict[tuple[str, ...], BatchBuilder] = {}
+    for output in outputs:
+        if type(output) is RowView:
+            yield (output.batch, output.idx)
+            continue
+        names = tuple(output)
+        builder = builders.get(names)
+        if builder is None:
+            builder = builders[names] = BatchBuilder(names, batch_size)
+        yield builder.append(output.values())
 
 
 class FedOperator:
@@ -135,19 +158,25 @@ class FedOperator:
         return self.kernel_type(context, self)
 
     def execute(self, context: RunContext) -> Iterator[Solution]:
-        """Row execution: the pull driver over this operator's kernel."""
-        streams = [child.execute(context) for child in self.children()]
-        return _drive(self.kernel(context), streams)
+        """Row execution: the pull loop over this operator's kernel."""
+        return self._pull(context, _rows)
 
     def execute_batch(self, context: RunContext) -> Iterator[Handle]:
-        """Columnar execution: stream handles into shared solution batches.
+        """Columnar execution: the same pull loop, fed handles.
 
-        The default adapts the row stream one row at a time, so any
-        operator without a vectorized implementation still composes with
-        batch-mode neighbours (at row-mode speed).  Charging is whatever
-        ``execute`` charges — identical by construction.
+        Each child handle reaches the kernel as a :class:`RowView`; a view
+        the kernel releases is its handle again, and a solution it builds
+        (a join's merged dict) is appended to a batch.  The charges are
+        the kernel's, so both planes charge alike by construction.  The
+        hot-path operators override this with a columnar loop.
         """
-        return _adapt(self.execute(context))
+        return _handles(self._pull(context, _views), context.batch_size)
+
+    def _pull(self, context: RunContext, stream) -> Iterator:
+        """One execution's pull loop; ``stream(child, context, *request)``
+        opens a child's stream on the caller's data plane."""
+        streams = [stream(child, context) for child in self.children()]
+        return _drive(self.kernel(context), streams)
 
     def children(self) -> list["FedOperator"]:
         return []
@@ -324,49 +353,6 @@ def _merge(left: Solution, right: Solution) -> Solution | None:
     return merged
 
 
-class _BatchEmitter:
-    """Per-execution merge plans and output builders, one per batch shape."""
-
-    __slots__ = ("batch_size", "builders", "plans")
-
-    def __init__(self, context: RunContext):
-        self.batch_size = context.batch_size
-        self.builders: dict[tuple[str, ...], BatchBuilder] = {}
-        self.plans: dict[tuple, MergePlan] = {}
-
-    def plan_for(self, left: tuple[str, ...], right: tuple[str, ...]) -> MergePlan:
-        """The merge plan of one (left shape, right shape), compiled once."""
-        plan = self.plans.get((left, right))
-        if plan is None:
-            plan = self.plans[left, right] = MergePlan(left, right)
-        return plan
-
-    def emit(self, names: tuple[str, ...], values: list[Term | None]) -> Handle:
-        return self.builder_for(names).append(values)
-
-    def builder_for(self, names: tuple[str, ...]) -> BatchBuilder:
-        builder = self.builders.get(names)
-        if builder is None:
-            builder = self.builders[names] = BatchBuilder(names, self.batch_size)
-        return builder
-
-
-def _positions_cache(variables: tuple[str, ...]):
-    """Join-variable column positions, computed once per batch shape."""
-    cache: dict[tuple[str, ...], list[int]] = {}
-
-    def positions_for(batch: SolutionBatch) -> list[int]:
-        positions = cache.get(batch.names)
-        if positions is None:
-            index = batch.index
-            positions = cache[batch.names] = [
-                index.get(name, -1) for name in variables
-            ]
-        return positions
-
-    return positions_for
-
-
 class _ZippedKeys:
     """The join-key column of one batch when no stored column can serve:
     several join variables (tuple keys), none (``()``), or a variable the
@@ -506,7 +492,8 @@ class SymmetricHashJoin(_Binary):
         stats = context.stats
         insert_probe = cost.engine_hash_insert + cost.engine_hash_probe
         join_output = cost.engine_join_output_row
-        emitter = _BatchEmitter(context)
+        # One output builder per output shape, shared by the pairs that make it.
+        builders: dict[tuple[str, ...], BatchBuilder] = {}
         pair_cache: dict[tuple, tuple] = {}
         variable_set = frozenset(variables)
         pending = 0.0
@@ -547,7 +534,11 @@ class SymmetricHashJoin(_Binary):
                             frozenset(pair[0][lpos] for lpos, __ in plan.shared)
                             <= variable_set
                         )
-                        builder = emitter.builder_for(plan.names)
+                        builder = builders.get(plan.names)
+                        if builder is None:
+                            builder = builders[plan.names] = BatchBuilder(
+                                plan.names, context.batch_size
+                            )
                         compiled = pair_cache[pair] = (
                             plan,
                             gather,
@@ -641,56 +632,11 @@ class LeftJoin(_Binary):
 
     kernel_type = _LeftJoinKernel
 
-    def execute(self, context: RunContext) -> Iterator[Solution]:
+    def _pull(self, context: RunContext, stream) -> Iterator:
         kernel = self.kernel(context)
-        for solution in self.right.execute(context):
+        for solution in stream(self.right, context):
             kernel.step(kernel.BUILD, solution)
-        yield from _drive(kernel, [self.left.execute(context)])
-
-    def execute_batch(self, context: RunContext) -> Iterator[Handle]:
-        cost = context.cost_model
-        positions_for = _positions_cache(self.join_variables)
-        clock_sleep = context.clock.sleep
-        stats = context.stats
-        hash_insert = cost.engine_hash_insert
-        hash_probe = cost.engine_hash_probe
-        output_row = cost.engine_join_output_row
-        emitter = _BatchEmitter(context)
-        plan_for = emitter.plan_for
-        table: dict[tuple, list[Handle]] = {}
-        # NB: unlike the symmetric join, unbound join variables participate
-        # with a None key component (mirroring ``solution.get`` row mode).
-        for batch, idx in self.right.execute_batch(context):
-            if hash_insert > 0:
-                clock_sleep(hash_insert)
-                stats.engine_cost += hash_insert
-            columns = batch.columns
-            key = tuple(
-                None if position < 0 else columns[position][idx]
-                for position in positions_for(batch)
-            )
-            table.setdefault(key, []).append((batch, idx))
-        for batch, idx in self.left.execute_batch(context):
-            if hash_probe > 0:
-                clock_sleep(hash_probe)
-                stats.engine_cost += hash_probe
-            columns = batch.columns
-            key = tuple(
-                None if position < 0 else columns[position][idx]
-                for position in positions_for(batch)
-            )
-            matched = False
-            for candidate, cidx in table.get(key, ()):
-                plan = plan_for(batch.names, candidate.names)
-                values = plan.merge_values(batch, idx, candidate, cidx)
-                if values is not None:
-                    matched = True
-                    if output_row > 0:
-                        clock_sleep(output_row)
-                        stats.engine_cost += output_row
-                    yield emitter.emit(plan.names, values)
-            if not matched:
-                yield (batch, idx)
+        yield from _drive(kernel, [stream(self.left, context)])
 
     def data_signature(self, context: RunContext) -> tuple | None:
         return self._signed(context, self.join_variables)
@@ -733,8 +679,8 @@ class _BoundJoinKernel(Kernel):
                 terms.append(term)
         by_term = self.by_term = {}
         for solution in self.block:
-            # Per-tuple, not one multiplied charge: every driver and the
-            # columnar loop see the same float sum.
+            # Per-tuple, not one multiplied charge: every driver sees the
+            # same float sum.
             self.charge(self.cost.engine_hash_insert)
             by_term.setdefault(solution[variable], []).append(solution)
         self.block = []
@@ -775,9 +721,9 @@ class DependentJoin(FedOperator):
     block_size: int = 50
     kernel_type = _BoundJoinKernel
 
-    def execute(self, context: RunContext) -> Iterator[Solution]:
+    def _pull(self, context: RunContext, stream) -> Iterator:
         kernel = self.kernel(context)
-        outer_stream = self.outer.execute(context)
+        outer_stream = stream(self.outer, context)
         while True:
             for solution in outer_stream:
                 kernel.step(kernel.OUTER, solution)
@@ -789,65 +735,9 @@ class DependentJoin(FedOperator):
             final = not kernel.full
             terms = kernel.seal()
             request = self.inner.request.restricted(self.join_variable, terms)
-            for inner_solution in self.inner.execute(context, request):
+            for inner_solution in stream(self.inner, context, request):
                 yield from kernel.step(kernel.INNER, inner_solution)
             if final:
-                return
-
-    def execute_batch(self, context: RunContext) -> Iterator[Handle]:
-        cost = context.cost_model
-        variable = self.join_variable
-        positions_for = _positions_cache((variable,))
-        clock_sleep = context.clock.sleep
-        stats = context.stats
-        hash_insert = cost.engine_hash_insert
-        hash_probe = cost.engine_hash_probe
-        output_row = cost.engine_join_output_row
-        emitter = _BatchEmitter(context)
-        plan_for = emitter.plan_for
-        block: list[Handle] = []
-        block_terms: list[Term] = []
-        outer_stream = self.outer.execute_batch(context)
-        while True:
-            block.clear()
-            block_terms.clear()
-            for batch, idx in outer_stream:
-                position = positions_for(batch)[0]
-                term = None if position < 0 else batch.columns[position][idx]
-                if term is not None:
-                    block.append((batch, idx))
-                    block_terms.append(term)
-                    if len(block) >= self.block_size:
-                        break
-            if not block:
-                return
-            terms = []
-            seen: set = set()
-            for term in block_terms:
-                if term not in seen:
-                    seen.add(term)
-                    terms.append(term)
-            by_term: dict = {}
-            for handle, term in zip(block, block_terms):
-                if hash_insert > 0:
-                    clock_sleep(hash_insert)
-                    stats.engine_cost += hash_insert
-                by_term.setdefault(term, []).append(handle)
-            request = self.inner.request.restricted(variable, terms)
-            for ibatch, iidx in self.inner.execute_batch(context, request):
-                if hash_probe > 0:
-                    clock_sleep(hash_probe)
-                    stats.engine_cost += hash_probe
-                inner_term = ibatch.columns[ibatch.index[variable]][iidx]
-                for obatch, oidx in by_term.get(inner_term, ()):
-                    plan = plan_for(obatch.names, ibatch.names)
-                    values = plan.merge_values(obatch, oidx, ibatch, iidx)
-                    if values is not None:
-                        if output_row > 0:
-                            clock_sleep(output_row)
-                            stats.engine_cost += output_row
-                        yield emitter.emit(plan.names, values)
-            if len(block) < self.block_size:
                 return
 
     def children(self) -> list[FedOperator]:
@@ -973,39 +863,6 @@ class _DistinctKernel(Kernel):
 class Distinct(_Unary):
     kernel_type = _DistinctKernel
 
-    def execute_batch(self, context: RunContext) -> Iterator[Handle]:
-        distinct_cost = context.cost_model.engine_distinct_row
-        positive = distinct_cost > 0
-        clock = context.clock
-        virtual = type(clock) is VirtualClock
-        clock_sleep = clock.sleep
-        stats = context.stats
-        seen: set[tuple] = set()
-        n3_cache: dict[Term, str] = {}
-        cache_get = n3_cache.get
-        for batch, idx in self.child.execute_batch(context):
-            if positive:
-                if virtual:
-                    clock._now += distinct_cost
-                else:
-                    clock_sleep(distinct_cost)
-                stats.engine_cost += distinct_cost
-            # The row kernel's identity over columns: sorted bound (name, n3)
-            # pairs, with a per-term n3 memo.
-            out = []
-            for name, column in batch.sorted_pairs:
-                value = column[idx]
-                if value is None:
-                    continue
-                n3 = cache_get(value)
-                if n3 is None:
-                    n3 = n3_cache[value] = value.n3()
-                out.append((name, n3))
-            key = tuple(out)
-            if key not in seen:
-                seen.add(key)
-                yield (batch, idx)
-
     def data_signature(self, context: RunContext) -> tuple | None:
         return self._signed(context)
 
@@ -1035,9 +892,6 @@ class Limit(_Unary):
     limit: int | None = None
     offset: int | None = None
     kernel_type = _LimitKernel
-
-    def execute_batch(self, context: RunContext) -> Iterator[Handle]:
-        return _drive(self.kernel(context), [self.child.execute_batch(context)])
 
     def data_signature(self, context: RunContext) -> tuple | None:
         return self._signed(context, self.limit, self.offset)
@@ -1072,15 +926,6 @@ class OrderBy(_Unary):
     conditions: list[OrderCondition]
     kernel_type = _OrderKernel
 
-    def execute_batch(self, context: RunContext) -> Iterator[Handle]:
-        # RowView is a Mapping, so the kernel's typed collation applies
-        # unchanged; sorts are stable, so the permutation matches row mode.
-        views = (
-            RowView(batch, idx) for batch, idx in self.child.execute_batch(context)
-        )
-        for view in _drive(self.kernel(context), [views]):
-            yield (view.batch, view.idx)
-
     def data_signature(self, context: RunContext) -> tuple | None:
         return self._signed(
             context,
@@ -1094,10 +939,6 @@ class Union(FedOperator):
 
     inputs: list[FedOperator]
     kernel_type = Kernel
-
-    def execute_batch(self, context: RunContext) -> Iterator[Handle]:
-        streams = [child.execute_batch(context) for child in self.inputs]
-        return _drive(self.kernel(context), streams)
 
     def children(self) -> list[FedOperator]:
         return list(self.inputs)

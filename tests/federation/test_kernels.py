@@ -31,7 +31,7 @@ from repro.cache.memos import run_scripts
 from repro.core.engine import ResultStream
 from repro.federation import RunContext
 from repro.federation.script import RunScript
-from repro.federation.batch import BatchBuilder
+from repro.federation.batch import BatchBuilder, SolutionBatch
 from repro.federation.operators import (
     DependentJoin,
     Distinct,
@@ -44,7 +44,6 @@ from repro.federation.operators import (
     ServiceNode,
     SymmetricHashJoin,
     Union,
-    _adapt,
 )
 from repro.network.costmodel import CostModel
 from repro.rdf import IRI, Literal, Variable
@@ -89,6 +88,12 @@ class Request:
         return Request(self.text, (variable, terms))
 
 
+def single_row(solution):
+    """One solution as the only row of its own batch (the "adapt" layout)."""
+    names = tuple(solution)
+    return SolutionBatch(names, [[solution[name]] for name in names]), 0
+
+
 class Leaf:
     """A list-backed wrapper that logs every pull.
 
@@ -126,7 +131,7 @@ class Leaf:
 
     def execute_batch(self, request, context):
         if self.layout == "adapt":
-            return _adapt(self.execute(request, context))
+            return map(single_row, self.execute(request, context))
         return self._handles(request)
 
     def _handles(self, request):
@@ -190,13 +195,23 @@ PLANS = {
             ("b",),
         )
     ),
+    "optional-under-dependent-join": lambda l, r, x: DependentJoin(
+        LeftJoin(l.service(), x.service(), ("a",)), r.service([NOT_ZERO]), "a", block_size=2
+    ),
+    "order-distinct-union": lambda l, r, x: OrderBy(
+        Distinct(Union([l.service(), r.service(), x.service()])),
+        [order_by("c", ascending=False), order_by("a")],
+    ),
 }
 #: Plans whose pull order no push schedule reproduces.  A pull-driven join
 #: may take its other side *between* two outputs of one step of the join
 #: beneath it (that generator is simply suspended); an event cascade runs
-#: each step to its end.  This is why only single-producer plans are
-#: bit-identical across runtimes.  Pull and columnar are still compared.
-PULL_ONLY = {"join-stack"}
+#: each step to its end.  A dependent join likewise seals a block, and runs
+#: its inner request, between two outputs of an OPTIONAL's step; its push
+#: node queues the rest of the cascade, already charged (``nodes.py``).
+#: This is why only single-producer plans are bit-identical across
+#: runtimes.  Pull and columnar are still compared.
+PULL_ONLY = {"join-stack", "optional-under-dependent-join"}
 
 
 def fresh(plan, streams, layouts, capacity, signatures=(None, None, None)):
@@ -421,10 +436,10 @@ class TestEarlyClose:
         first = ([full[0][0][0]], full[0][0][1:])  # the complete run, at its 1st answer
         limited, __ = run_pull(self.limited(1), *self.INPUTS)
         limited = ([solution for solution, *__ in limited[0]], limited[1])
-        for __ in range(2):  # sighted, then recorded but abandoned
+        for __ in range(2):  # recorded, but abandoned: twice live
             assert streamed(None, take=1) == first
         assert published() == 0
-        for __ in range(3):  # sighted, recorded to its Done, replayed
+        for __ in range(3):  # recorded to its Done, then replayed twice
             assert streamed(1) == limited
         assert published() == 1
         streamed(None)  # recorded: the next abandoned run replays
