@@ -5,7 +5,7 @@ source-selection outcomes, Odyssey reuses precomputed per-source statistics.
 This package brings the same levers to our pipeline, at three layers:
 
 * a **plan cache** (:class:`CacheRegistry.plans`) — canonicalized query text
-  + plan-policy fingerprint + network setting + the lake's catalog version
+  + plan-policy fingerprint + network setting + the lake's design version
   map to a fully built :class:`~repro.core.planner.FederatedPlan`, skipping
   parse / decompose / source-select / heuristics / translate entirely;
 * a **wrapper sub-result cache** (:class:`CacheRegistry.subresults`) —

@@ -391,9 +391,12 @@ class FederatedEngine:
         Only textual queries are cacheable (pre-parsed queries are mutable
         objects without a canonical key).  The key binds the canonicalized
         text to the policy fingerprint, the network setting, and the lake's
-        catalog version — so policies, networks, and physical designs can
-        never share an entry, and any write to any member source
-        invalidates by changing the version vector.
+        ``design_version`` — so policies, networks, and physical designs
+        can never share an entry, while a data write keeps every heuristic
+        plan (heuristic planning reads only the physical catalog, the
+        molecule templates and the mappings, none of which a write
+        changes).  Cost-based plans also key on the catalog version, since
+        their statistics read the rows.
 
         With an observation attached, fresh planning emits its lifecycle
         instants and a cache hit emits a single plan-cache instant instead
@@ -406,12 +409,13 @@ class FederatedEngine:
             canonicalize_query(query),
             self.policy.fingerprint(),
             self.network,
-            self.lake.catalog_version(),
-            # Cost-based plans depend on the observed-stats store: any
-            # ingest bumps the revision, so stale cost plans are never
-            # served after the optimizer learned better cardinalities.
-            self.observed_stats.revision if self.policy.cost_based else None,
+            self.lake.design_version,
         )
+        if self.policy.cost_based:
+            # Cost-based plans depend on the data and the observed-stats
+            # store: any write or ingest changes the key, so stale cost
+            # plans are never served.
+            key += (self.lake.catalog_version(), self.observed_stats.revision)
         plan = self.caches.plans.get(key)
         if plan is not None:
             if obs is not None:

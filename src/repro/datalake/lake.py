@@ -28,6 +28,14 @@ class SemanticDataLake:
         self._sources: dict[str, DataSource] = {}
         self._molecules: MoleculeCatalog | None = None
         self.physical_catalog = PhysicalDesignCatalog()
+        #: Bumped whenever a heuristic planner input changes: the member
+        #: set, the physical catalog (index DDL) or the molecule templates.
+        #: Data writes leave it alone, since plans never read row data.
+        self.design_version = 0
+
+    def _design_changed(self) -> None:
+        self._molecules = None
+        self.design_version += 1
 
     # -- registration -----------------------------------------------------------
 
@@ -40,7 +48,7 @@ class SemanticDataLake:
         source = RelationalSource(source_id=source_id, database=database, mapping=mapping)
         self._sources[source_id] = source
         self.physical_catalog.register_database(source_id, database)
-        self._molecules = None
+        self._design_changed()
         return source
 
     def add_rdf_source(self, source_id: str, graph: Graph) -> RDFSource:
@@ -49,7 +57,7 @@ class SemanticDataLake:
             raise CatalogError(f"source {source_id!r} already registered")
         source = RDFSource(source_id=source_id, graph=graph)
         self._sources[source_id] = source
-        self._molecules = None
+        self._design_changed()
         return source
 
     def add_graph_as_relational(self, source_id: str, graph: Graph) -> RelationalSource:
@@ -104,8 +112,9 @@ class SemanticDataLake:
         the relational :attr:`~repro.relational.database.Database.data_version`
         or the RDF :attr:`~repro.rdf.graph.Graph.version`.  Any INSERT,
         DELETE, CREATE INDEX or DROP INDEX on any member changes the
-        vector, so plan-cache keys embedding it can never serve a plan
-        built against a stale physical design.
+        vector.  Heuristic plans are keyed on :attr:`design_version`
+        instead; cost-based plans, whose statistics read the rows, and the
+        oracle's and the service's answer caches key on this vector.
         """
         parts = []
         for source_id in self.source_ids:
@@ -119,7 +128,7 @@ class SemanticDataLake:
 
     def invalidate_descriptions(self) -> None:
         """Drop cached molecule templates (after data changes)."""
-        self._molecules = None
+        self._design_changed()
         for source in self.rdf_sources():
             source._molecules = None
 
@@ -130,6 +139,7 @@ class SemanticDataLake:
             raise CatalogError(f"source {source_id!r} is not relational")
         source.database.create_index(table, columns, **kwargs)
         self.physical_catalog.refresh(source_id, source.database)
+        self._design_changed()
 
     def drop_index(self, source_id: str, table: str, index_name: str) -> None:
         source = self.source(source_id)
@@ -137,6 +147,7 @@ class SemanticDataLake:
             raise CatalogError(f"source {source_id!r} is not relational")
         source.database.drop_index(table, index_name)
         self.physical_catalog.refresh(source_id, source.database)
+        self._design_changed()
 
     def describe(self) -> str:
         lines = [f"SemanticDataLake {self.name!r}: {len(self._sources)} sources"]

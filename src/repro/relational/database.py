@@ -69,7 +69,9 @@ class Database:
     def __init__(self, name: str, planner_options: PlannerOptions | None = None):
         self.name = name
         self._tables: dict[str, TableStorage] = {}
-        self._statistics: dict[str, TableStatistics] = {}
+        #: table -> (storage version, statistics): a write through any path
+        #: moves the version; drop_table forgets the entry.
+        self._statistics: dict[str, tuple[int, TableStatistics]] = {}
         self._data_version = 0
         self.planner = Planner(self, planner_options)
 
@@ -81,8 +83,9 @@ class Database:
         CREATE/DROP TABLE — including DML issued directly against a
         :class:`TableStorage` obtained via :meth:`table` (storages report
         changes back through their ``on_change`` hook).  The federation's
-        plan and sub-result caches embed this value in their keys, so any
-        write silently invalidates everything cached over this source.
+        sub-result caches and run scripts embed this value in their keys,
+        so any write silently invalidates every answer cached over this
+        source; heuristic plans key on the lake's design version instead.
         """
         return self._data_version
 
@@ -163,9 +166,7 @@ class Database:
     # -- DML ---------------------------------------------------------------------
 
     def insert(self, table: str, values: Mapping[str, SQLValue] | Sequence[SQLValue]) -> int:
-        row_id = self.table(table).insert(values)
-        self._statistics.pop(table, None)  # invalidate cached stats
-        return row_id
+        return self.table(table).insert(values)
 
     def insert_many(
         self, table: str, rows: Sequence[Mapping[str, SQLValue] | Sequence[SQLValue]]
@@ -173,21 +174,24 @@ class Database:
         storage = self.table(table)
         for row in rows:
             storage.insert(row)
-        self._statistics.pop(table, None)
         return len(rows)
 
     # -- statistics ----------------------------------------------------------------
 
     def statistics(self, table: str) -> TableStatistics:
-        """Cached ANALYZE output for *table* (recomputed after inserts)."""
-        if table not in self._statistics:
-            self._statistics[table] = collect_table_statistics(self.table(table))
-        return self._statistics[table]
+        """Cached ANALYZE output for *table* (recomputed after any write)."""
+        storage = self.table(table)
+        cached = self._statistics.get(table)
+        if cached is not None and cached[0] == storage.version:
+            return cached[1]
+        statistics = collect_table_statistics(storage)
+        self._statistics[table] = (storage.version, statistics)
+        return statistics
 
     def analyze(self) -> None:
         """Refresh statistics for every table."""
         for table in self._tables:
-            self._statistics[table] = collect_table_statistics(self._tables[table])
+            self.statistics(table)
 
     def advise_index(
         self, table: str, column: str, max_value_fraction: float = 0.15
@@ -255,7 +259,6 @@ class Database:
                     storage.insert(dict(zip(statement.columns, row)))
                 else:
                     storage.insert(row)
-            self._statistics.pop(statement.table, None)
             return len(statement.rows)
         if isinstance(statement, UpdateStatement):
             return self._execute_update(statement)
@@ -312,8 +315,6 @@ class Database:
                 old_row[positions[column]] = value
             storage.delete(row_id)
             storage.insert(old_row)
-        if row_ids:
-            self._statistics.pop(statement.table, None)
         return len(row_ids)
 
     def _execute_delete(self, statement: DeleteStatement) -> int:
@@ -321,8 +322,6 @@ class Database:
         row_ids = self._matching_row_ids(storage, statement.where)
         for row_id in row_ids:
             storage.delete(row_id)
-        if row_ids:
-            self._statistics.pop(statement.table, None)
         return len(row_ids)
 
     def __repr__(self) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .storage import TableStorage
 from .types import SQLValue
@@ -81,33 +82,26 @@ class TableStatistics:
 
 def collect_column_statistics(storage: TableStorage, column: str) -> ColumnStatistics:
     """Compute :class:`ColumnStatistics` by a full pass over the table."""
-    counter: Counter = Counter()
-    null_count = 0
-    row_count = 0
-    minimum: SQLValue = None
-    maximum: SQLValue = None
-    for value in storage.column_values(column):
-        row_count += 1
-        if value is None:
-            null_count += 1
-            continue
-        counter[value] += 1
-        try:
-            if minimum is None or value < minimum:
-                minimum = value
-            if maximum is None or value > maximum:
-                maximum = value
-        except TypeError:
-            minimum = maximum = None
-    non_null = row_count - null_count
+    return _column_statistics(
+        column, storage.schema.column_index(column), storage.live_rows()
+    )
+
+
+def _column_statistics(column: str, position: int, rows: list) -> ColumnStatistics:
+    # One C-level count; the Counter's insertion order is heap order, so
+    # the mode's tie-break and the extrema's ties keep the first occurrence.
+    counter = Counter(map(itemgetter(position), rows))
+    null_count = counter.pop(None, 0)
+    non_null = len(rows) - null_count
+    minimum, maximum = min(counter, default=None), max(counter, default=None)
     most_common_value: SQLValue = None
     most_common_fraction = 0.0
     if counter:
         most_common_value, count = counter.most_common(1)[0]
-        most_common_fraction = count / non_null if non_null else 0.0
+        most_common_fraction = count / non_null
     return ColumnStatistics(
         column=column,
-        row_count=row_count,
+        row_count=len(rows),
         null_count=null_count,
         distinct_count=len(counter),
         most_common_value=most_common_value,
@@ -119,9 +113,10 @@ def collect_column_statistics(storage: TableStorage, column: str) -> ColumnStati
 
 def collect_table_statistics(storage: TableStorage) -> TableStatistics:
     """Compute statistics for every column of *storage* (ANALYZE)."""
-    statistics = TableStatistics(table=storage.schema.name, row_count=len(storage))
-    for column in storage.schema.column_names:
-        statistics.columns[column] = collect_column_statistics(storage, column)
+    rows = storage.live_rows()
+    statistics = TableStatistics(table=storage.schema.name, row_count=len(rows))
+    for position, column in enumerate(storage.schema.column_names):
+        statistics.columns[column] = _column_statistics(column, position, rows)
     return statistics
 
 

@@ -1,9 +1,10 @@
 """Cache invalidation: writes and physical-design changes drop cached state.
 
-The satellite requirements: a cached wrapper sub-result must stop being
-served after INSERT/DELETE on an underlying table and after CREATE/DROP
-INDEX changes the physical design — and the plan cache too, since the
-heuristics' decisions depend on the indexes.
+A cached wrapper sub-result must stop being served after INSERT/DELETE on
+an underlying table and after CREATE/DROP INDEX changes the physical
+design.  The plan cache follows the physical design only: index DDL
+re-plans, since the heuristics' decisions depend on the indexes, while a
+data write keeps the plan (``test_plan_follows_design.py``).
 """
 
 import pytest

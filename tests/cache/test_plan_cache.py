@@ -59,12 +59,21 @@ class TestPlanReuse:
         stats = engine.cache_stats()["plans"]
         assert stats.lookups == 0
 
-    def test_plan_records_catalog_version(self, tiny_lake):
-        # The version a plan was made against lives in its cache key (the
-        # plan object itself carries no copy).
+    def test_plan_keys_carry_the_design_version(self, tiny_lake):
+        # The design a plan was made against lives in its cache key (the
+        # plan object itself carries no copy).  A heuristic plan reads no
+        # row data, so its key leaves the data versions out; a cost plan's
+        # statistics read the rows, so its key carries both.
         engine = FederatedEngine(tiny_lake)
         engine.plan(TINY_QUERY)
         (key,) = engine.caches.plans.keys()
+        assert tiny_lake.design_version in key
+        assert tiny_lake.catalog_version() not in key
+
+        cost = engine.with_policy(PlanPolicy.cost())
+        cost.plan(TINY_QUERY)
+        (key,) = cost.caches.plans.keys()
+        assert tiny_lake.design_version in key
         assert tiny_lake.catalog_version() in key
 
 

@@ -122,3 +122,39 @@ class TestIndexAdvisor:
             IndexAdvisor(max_value_fraction=0.0)
         with pytest.raises(ValueError):
             IndexAdvisor(max_value_fraction=1.5)
+
+
+class TestDatabaseStatisticsCache:
+    def make_database(self):
+        from repro.relational import Database
+
+        database = Database("d")
+        database.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+        database.insert("t", {"id": 1, "v": "a"})
+        return database
+
+    def test_a_direct_storage_write_refreshes_statistics(self):
+        # Writes through ``db.table(t)`` are first-class: they move the
+        # data version, so they must also retire the cached ANALYZE.
+        database = self.make_database()
+        assert database.statistics("t").row_count == 1
+        row_id = database.table("t").insert({"id": 2, "v": "b"})
+        assert database.statistics("t").row_count == 2
+        assert database.statistics("t").column("v").distinct_count == 2
+        database.table("t").delete(row_id)
+        assert database.statistics("t").row_count == 1
+
+    def test_statistics_are_cached_until_a_write(self):
+        database = self.make_database()
+        first = database.statistics("t")
+        assert database.statistics("t") is first
+        database.execute("INSERT INTO t VALUES (3, 'c')")
+        assert database.statistics("t") is not first
+        assert database.statistics("t").row_count == 2
+
+    def test_a_recreated_table_is_analyzed_afresh(self):
+        database = self.make_database()
+        assert database.statistics("t").row_count == 1
+        database.drop_table("t")
+        database.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+        assert database.statistics("t").row_count == 0
